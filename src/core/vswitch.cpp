@@ -214,8 +214,8 @@ CreateReport VSwitchFabric::create_vm(std::optional<std::size_t> hypervisor) {
     }
     report.time_us = transport.end_batch();
     sm_->bump_generation();
+    sm_->refresh_targets({vm.lid});
   }
-  sm_->refresh_targets();
 
   mark_slot_used(h, *vf_idx, vm.id);
   report.vm = VmHandle{vm.id};
@@ -239,7 +239,7 @@ void VSwitchFabric::destroy_vm(VmHandle handle) {
     sm_->transport().send_vf_lid_assign(hyp.pf,
                                        static_cast<PortNum>(vm.vf_index),
                                        kInvalidLid);
-    sm_->refresh_targets();
+    sm_->refresh_targets({vm.lid});
   }
   mark_slot_free(vm.hypervisor, vm.vf_index);
   vms_.erase(handle.id);
@@ -441,10 +441,11 @@ void VSwitchFabric::txn_move_addresses(MigrationTxn& txn) {
     // vacated source VF.
     sm_->lids().move(fabric, txn.vm_lid, vf_dst, 1);
     sm_->lids().move(fabric, txn.swapped_lid, vf_src, 1);
+    sm_->refresh_targets({txn.vm_lid, txn.swapped_lid});
   } else {
     sm_->lids().move(fabric, txn.vm_lid, vf_dst, 1);
+    sm_->refresh_targets({txn.vm_lid});
   }
-  sm_->refresh_targets();
   txn.addresses_moved = true;
   txn.state = TxnState::kReconfiguring;
 }
@@ -664,8 +665,10 @@ void VSwitchFabric::txn_rollback(MigrationTxn& txn) {
     const NodeId vf_src = src.vfs[txn.src_vf_index];
     const NodeId vf_dst = dst.vfs[txn.dst_vf_index];
     sm_->lids().move(fabric, txn.vm_lid, vf_src, 1);
+    sm_->refresh_targets({txn.vm_lid});
     if (txn.swapped_lid.valid()) {
       sm_->lids().move(fabric, txn.swapped_lid, vf_dst, 1);
+      sm_->refresh_targets({txn.swapped_lid});
     }
     fabric.node(vf_src).alias_guid = txn.vguid;
     fabric.node(vf_dst).alias_guid =
@@ -688,7 +691,6 @@ void VSwitchFabric::txn_rollback(MigrationTxn& txn) {
       txn.rollback_smps += 1;
     }
     txn.rollback_time_us += transport.end_batch();
-    sm_->refresh_targets();
     txn.addresses_moved = false;
   }
   sm_->bump_generation();

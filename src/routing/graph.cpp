@@ -1,6 +1,7 @@
 #include "routing/graph.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/expect.hpp"
 #include "util/thread_pool.hpp"
@@ -68,14 +69,42 @@ SwitchGraph SwitchGraph::build(const Fabric& fabric, const LidMap& lids) {
   return g;
 }
 
+namespace {
+
+/// `lid`'s target in `g`, or nullopt when the LID is not routable (not
+/// assigned, unattached, or attached to no switch of the graph).
+std::optional<SwitchGraph::Target> resolve_target(const SwitchGraph& g,
+                                                  const Fabric& fabric,
+                                                  const LidMap& lids, Lid lid) {
+  const auto attach = lids.attachment(fabric, lid);
+  if (!attach) return std::nullopt;
+  const SwitchIdx sw = g.dense(attach->first);
+  if (sw == kNoSwitch) return std::nullopt;
+  return SwitchGraph::Target{lid, sw, attach->second};
+}
+
+}  // namespace
+
 void SwitchGraph::rebuild_targets(const Fabric& fabric, const LidMap& lids) {
   targets.clear();
   for (Lid lid : lids.assigned_lids()) {
-    const auto attach = lids.attachment(fabric, lid);
-    if (!attach) continue;
-    const SwitchIdx sw = dense_of[attach->first];
-    if (sw == kNoSwitch) continue;
-    targets.push_back(Target{lid, sw, attach->second});
+    if (const auto t = resolve_target(*this, fabric, lids, lid)) {
+      targets.push_back(*t);
+    }
+  }
+}
+
+void SwitchGraph::update_target(const Fabric& fabric, const LidMap& lids,
+                                Lid lid) {
+  const auto it = std::ranges::lower_bound(targets, lid, {}, &Target::lid);
+  const bool present = it != targets.end() && it->lid == lid;
+  const auto t = resolve_target(*this, fabric, lids, lid);
+  if (t && present) {
+    *it = *t;
+  } else if (t) {
+    targets.insert(it, *t);
+  } else if (present) {
+    targets.erase(it);
   }
 }
 

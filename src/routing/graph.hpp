@@ -73,9 +73,19 @@ struct SwitchGraph {
   /// physical attachment; unattached LIDs are skipped (and later unrouted).
   static SwitchGraph build(const Fabric& fabric, const LidMap& lids);
 
-  /// Recomputes only the target list (cheap). Needed after LIDs move —
-  /// create/destroy/migrate — when the switch fabric itself is unchanged.
+  /// Recomputes the whole target list: one attachment resolution per
+  /// assigned LID, O(assigned LIDs) — thousands on the paper's clouds. Use
+  /// it only when an unknown set of LIDs may have changed (build, journal
+  /// recovery); after a known LID change, update_target() gives the same
+  /// list for one binary search per changed LID.
   void rebuild_targets(const Fabric& fabric, const LidMap& lids);
+
+  /// Point update of one LID's target after it was assigned, released or
+  /// moved: a binary search in the LID-ascending `targets` (O(log T)), then
+  /// an in-place overwrite, or an insert/erase that shifts the tail by one
+  /// entry. Leaves `targets` exactly as rebuild_targets() would, provided
+  /// every other entry was current.
+  void update_target(const Fabric& fabric, const LidMap& lids, Lid lid);
 };
 
 /// Hop-count matrix between switches (row-major, S*S, 0xFF = unreachable).

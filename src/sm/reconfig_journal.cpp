@@ -1,5 +1,7 @@
 #include "sm/reconfig_journal.hpp"
 
+#include <algorithm>
+
 #include "routing/graph.hpp"
 #include "sm/topology_txn.hpp"
 #include "telemetry/metrics.hpp"
@@ -31,6 +33,14 @@ struct JournalMetrics {
     return m;
   }
 };
+
+/// The record with `id` in an id-ascending record vector, or nullptr.
+template <typename Records>
+auto* find_by_id(Records& records, std::uint64_t id) {
+  const auto it = std::ranges::lower_bound(
+      records, id, {}, [](const auto& r) { return r.id; });
+  return it != records.end() && it->id == id ? &*it : nullptr;
+}
 
 /// Route repair after a topology rollback performed by a *recovering* SM.
 ///
@@ -159,17 +169,11 @@ std::uint64_t ReconfigJournal::begin(MigrationRecord record) {
 }
 
 MigrationRecord* ReconfigJournal::find(std::uint64_t id) {
-  for (MigrationRecord& r : records_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
+  return find_by_id(records_, id);
 }
 
 const MigrationRecord* ReconfigJournal::find(std::uint64_t id) const {
-  for (const MigrationRecord& r : records_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
+  return find_by_id(records_, id);
 }
 
 void ReconfigJournal::record_addresses_moved(std::uint64_t id) {
@@ -220,17 +224,11 @@ std::uint64_t ReconfigJournal::begin_topology(TopologyRecord record) {
 }
 
 TopologyRecord* ReconfigJournal::find_topology(std::uint64_t id) {
-  for (TopologyRecord& r : topology_records_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
+  return find_by_id(topology_records_, id);
 }
 
 const TopologyRecord* ReconfigJournal::find_topology(std::uint64_t id) const {
-  for (const TopologyRecord& r : topology_records_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
+  return find_by_id(topology_records_, id);
 }
 
 void ReconfigJournal::record_topology_mutated(std::uint64_t id) {

@@ -141,6 +141,8 @@ class ReconfigJournal {
   void commit(std::uint64_t id);
   void roll_back(std::uint64_t id);
 
+  /// The migration record with `id`, or nullptr (never issued, truncated,
+  /// or a topology record's id). O(log R).
   [[nodiscard]] MigrationRecord* find(std::uint64_t id);
   [[nodiscard]] const MigrationRecord* find(std::uint64_t id) const;
   [[nodiscard]] const std::vector<MigrationRecord>& records() const noexcept {
@@ -165,6 +167,7 @@ class ReconfigJournal {
   void commit_topology(std::uint64_t id);
   void roll_back_topology(std::uint64_t id);
 
+  /// The topology record with `id`, or nullptr. O(log R).
   [[nodiscard]] TopologyRecord* find_topology(std::uint64_t id);
   [[nodiscard]] const TopologyRecord* find_topology(std::uint64_t id) const;
   [[nodiscard]] const std::vector<TopologyRecord>& topology_records()
@@ -197,6 +200,10 @@ class ReconfigJournal {
   void recover_topology(SubnetManager& sm, TopologyRecord& r,
                         RecoveryReport& report, SmpRouting routing);
 
+  // Both vectors are sorted by ascending id, which find() and
+  // find_topology() binary-search: ids come from the one next_id_ counter,
+  // records are only ever appended, and truncate_reconciled() erases in
+  // place without reordering. Ids are unique across the two vectors.
   std::vector<MigrationRecord> records_;
   std::vector<TopologyRecord> topology_records_;
   std::uint64_t next_id_ = 1;

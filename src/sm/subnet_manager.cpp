@@ -383,6 +383,13 @@ void SubnetManager::refresh_targets() {
   routing_.graph.rebuild_targets(fabric_, lids_);
 }
 
+void SubnetManager::refresh_targets(std::initializer_list<Lid> changed) {
+  IBVS_REQUIRE(routing_ready_, "no master tables yet");
+  for (const Lid lid : changed) {
+    routing_.graph.update_target(fabric_, lids_, lid);
+  }
+}
+
 void SubnetManager::adopt_topology_change() {
   IBVS_REQUIRE(routing_ready_, "no master tables yet");
   routing_.graph = routing::SwitchGraph::build(fabric_, lids_);

@@ -17,6 +17,7 @@
 // update_lft_entry() so master state and hardware state stay in lockstep.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -147,9 +148,14 @@ class SubnetManager {
   /// how to push blocks to hardware). Used by the vSwitch reconfigurators.
   void update_master_entry(routing::SwitchIdx sw, Lid lid, PortNum port);
 
-  /// Refreshes the routing result's LID target list after LIDs were
-  /// created, destroyed or moved without a full recompute.
+  /// Rebuilds the routing result's whole LID target list, O(assigned LIDs).
+  /// For when an unknown set of LIDs may have changed (journal recovery).
   void refresh_targets();
+
+  /// Point-updates the target list for `changed` — LIDs just assigned,
+  /// released or moved — with one binary search each, O(k log T) for k of
+  /// T targets (SwitchGraph::update_target). No routing recompute.
+  void refresh_targets(std::initializer_list<Lid> changed);
 
   /// Adopts a structural fabric change — switch attached or detached, cable
   /// added or removed — without a routing recompute. Rebuilds the switch

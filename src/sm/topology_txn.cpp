@@ -467,7 +467,7 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
     journal_.record_topology_lid(txn.id, lid);
     txn.subject_lid = lid;
     txn.lid_assigned = true;
-    sm_.refresh_targets();
+    sm_.refresh_targets({lid});
     transport.begin_batch();
     transport.send_port_info_set(txn.subject, 0, SmpRouting::kDirected);
     txn.stats.addressing_smps += 1;
@@ -493,7 +493,7 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
         sm_.lids().owner(txn.subject_lid).node == txn.subject) {
       sm_.lids().release(fabric, txn.subject_lid);
       txn.lid_released = true;
-      sm_.refresh_targets();
+      sm_.refresh_targets({txn.subject_lid});
     }
   }
 
@@ -627,12 +627,12 @@ void TopologyTxnManager::txn_rollback(TopologyTxn& txn) {
   if (txn.lid_assigned && txn.subject_lid.valid() &&
       sm_.lids().owner(txn.subject_lid).node == txn.subject) {
     sm_.lids().release(fabric, txn.subject_lid);
-    sm_.refresh_targets();
+    sm_.refresh_targets({txn.subject_lid});
   }
   if (txn.lid_released && txn.subject_lid.valid() &&
       !sm_.lids().assigned(txn.subject_lid)) {
     sm_.lids().assign(fabric, txn.subject, 0, txn.subject_lid);
-    sm_.refresh_targets();
+    sm_.refresh_targets({txn.subject_lid});
     transport.begin_batch();
     transport.send_port_info_set(txn.subject, 0, SmpRouting::kDirected);
     txn.rollback_smps += 1;

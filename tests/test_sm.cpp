@@ -110,6 +110,7 @@ TEST(MasterUpdates, RequireRoutingFirst) {
   EXPECT_THROW(s.sm->update_master_entry(0, Lid{1}, 1),
                std::invalid_argument);
   EXPECT_THROW(s.sm->refresh_targets(), std::invalid_argument);
+  EXPECT_THROW(s.sm->refresh_targets({Lid{1}}), std::invalid_argument);
 }
 
 TEST(RefreshTargets, FollowsLidMoves) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "cloud/orchestrator.hpp"
 #include "cloud/planner.hpp"
@@ -102,6 +103,86 @@ TEST(TopologyRecord, LifecycleAndTruncation) {
   journal.find_topology(id)->reconciled = true;
   EXPECT_EQ(journal.truncate_reconciled(), 1u);
   EXPECT_EQ(journal.find_topology(id), nullptr);
+}
+
+TEST(JournalLookup, FindsSurvivorsAcrossKindsAndTruncation) {
+  // find()/find_topology() binary-search id-ascending vectors; interleaved
+  // kinds share one id counter and truncation erases from the middle.
+  sm::ReconfigJournal journal;
+  std::vector<std::uint64_t> migration_ids;
+  std::vector<std::uint64_t> topology_ids;
+  const auto open = [&](std::uint32_t n) {
+    if (n % 3 == 2) {
+      sm::TopologyRecord r;
+      r.op = sm::TopologyOp::kAddLink;
+      r.cables = {{5, static_cast<PortNum>(n), 6, 1}};
+      topology_ids.push_back(journal.begin_topology(std::move(r)));
+    } else {
+      sm::MigrationRecord r;
+      r.vm_id = n;
+      r.vm_lid = Lid{static_cast<std::uint16_t>(100 + n)};
+      r.src_vf = 1;
+      r.dst_vf = 2;
+      migration_ids.push_back(journal.begin(std::move(r)));
+    }
+  };
+  for (std::uint32_t n = 0; n < 30; ++n) open(n);
+
+  // Reconcile and terminate every other record of each kind; commit some of
+  // the rest without reconciling (kept), leave the others in flight (kept).
+  std::vector<std::uint64_t> erased;
+  std::vector<std::uint64_t> kept_migrations;
+  std::vector<std::uint64_t> kept_topology;
+  for (std::size_t i = 0; i < migration_ids.size(); ++i) {
+    const auto id = migration_ids[i];
+    if (i % 2 == 0) {
+      journal.commit(id);
+      journal.find(id)->reconciled = true;
+      erased.push_back(id);
+    } else {
+      if (i % 4 == 1) journal.roll_back(id);
+      kept_migrations.push_back(id);
+    }
+  }
+  for (std::size_t i = 0; i < topology_ids.size(); ++i) {
+    const auto id = topology_ids[i];
+    if (i % 2 == 1) {
+      journal.roll_back_topology(id);
+      journal.find_topology(id)->reconciled = true;
+      erased.push_back(id);
+    } else {
+      kept_topology.push_back(id);
+    }
+  }
+  EXPECT_EQ(journal.truncate_reconciled(), erased.size());
+  for (std::uint32_t n = 30; n < 36; ++n) open(n);  // appended after the cut
+  kept_migrations.insert(kept_migrations.end(), migration_ids.end() - 4,
+                         migration_ids.end());
+  kept_topology.insert(kept_topology.end(), topology_ids.end() - 2,
+                       topology_ids.end());
+
+  for (const auto id : kept_migrations) {
+    const sm::MigrationRecord* r = journal.find(id);
+    ASSERT_NE(r, nullptr) << id;
+    EXPECT_EQ(r->id, id);
+    EXPECT_EQ(r->vm_lid, Lid{static_cast<std::uint16_t>(100 + r->vm_id)});
+    EXPECT_EQ(journal.find_topology(id), nullptr) << "other-kind id " << id;
+  }
+  for (const auto id : kept_topology) {
+    const sm::TopologyRecord* r = std::as_const(journal).find_topology(id);
+    ASSERT_NE(r, nullptr) << id;
+    EXPECT_EQ(r->id, id);
+    EXPECT_EQ(journal.find(id), nullptr) << "other-kind id " << id;
+  }
+  for (const auto id : erased) {
+    EXPECT_EQ(journal.find(id), nullptr) << id;
+    EXPECT_EQ(journal.find_topology(id), nullptr) << id;
+  }
+  const std::uint64_t last = std::max(migration_ids.back(), topology_ids.back());
+  for (const std::uint64_t never : {std::uint64_t{0}, last + 1, last + 100}) {
+    EXPECT_EQ(std::as_const(journal).find(never), nullptr) << never;
+    EXPECT_EQ(journal.find_topology(never), nullptr) << never;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,15 @@
 // Default: the 324- and 648-node trees (seconds). IBVS_FIG7_LARGE=1 adds
 // 5832 nodes; IBVS_FIG7_FULL=1 adds 11664 nodes, where DFSSSP and LASH run
 // for a long time — the very effect the figure demonstrates.
+//
+// `--json-out <file>` writes one row per (topology, engine) that ran, under
+// schema "fig7_pct": topology, nodes, engine, threads (the pool size the
+// engines ran on), targets (LIDs routed) and pct_s. CI's bench-smoke job
+// gates exactly that the "lid-swap-copy" row is 0 at every size.
 #include <benchmark/benchmark.h>
+
+#include <sstream>
+#include <thread>
 
 #include "bench/common.hpp"
 #include "ib/lid_map.hpp"
@@ -26,8 +34,15 @@ struct Fig7Row {
   std::string topo;
   std::size_t nodes;
   double seconds[5];  // fat-tree, minhop, dfsssp, lash, lid-swap
+  std::size_t targets[5];
   bool ran[5];
 };
+
+/// Series names as written to --json-out, in Fig7Row order.
+std::string series_name(std::size_t i) {
+  if (i < 4) return routing::to_string(routing::fig7_engines()[i]);
+  return "lid-swap-copy";
+}
 
 /// Paper's reported seconds (8-core Xeon, OpenSM) for reference printing.
 constexpr double kPaperSeconds[4][4] = {
@@ -76,6 +91,7 @@ Fig7Row run_tree(topology::PaperFatTree which) {
     auto engine = routing::make_engine(engines[i]);
     const auto result = engine->compute(fabric, lids);
     row.seconds[i] = result.compute_seconds;
+    row.targets[i] = result.graph.targets.size();
     row.ran[i] = true;
     // Progress on stderr: the large trees take minutes per engine.
     std::fprintf(stderr, "# %-32s %-10s %10.3f s\n", row.topo.c_str(),
@@ -102,19 +118,43 @@ Fig7Row run_tree(topology::PaperFatTree which) {
     const double pc_before = smgr.routing_result().compute_seconds;
     vsf.migrate_vm(vm.vm, 7);
     row.seconds[4] = smgr.routing_result().compute_seconds - pc_before;
+    row.targets[4] = smgr.routing_result().graph.targets.size();
     row.ran[4] = true;
   }
   return row;
 }
 
-void print_fig7() {
+void write_json(const std::string& path, const std::vector<Fig7Row>& rows) {
+  std::ostringstream os;
+  os << "{\n  \"bench\": \"fig7_pct\",\n  \"schema_version\": 1,\n"
+     << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
+     << ",\n  \"rows\": [\n";
+  const std::size_t threads = ThreadPool::global_thread_count();
+  bool first = true;
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < 5; ++i) {
+      if (!row.ran[i]) continue;
+      os << (first ? "" : ",\n") << "    {\"topology\": \"" << row.topo
+         << "\", \"nodes\": " << row.nodes << ", \"engine\": \""
+         << series_name(i) << "\", \"threads\": " << threads
+         << ", \"targets\": " << row.targets[i]
+         << ", \"pct_s\": " << row.seconds[i] << "}";
+      first = false;
+    }
+  }
+  os << "\n  ]\n}\n";
+  bench::dump_json(path, os.str(), "Fig. 7 rows");
+}
+
+void print_fig7(const std::optional<std::string>& json_out) {
+  std::vector<Fig7Row> rows;
   std::printf(
       "\nFig. 7 — Path computation time (seconds) per routing engine\n");
   std::printf("%-34s %12s %12s %12s %12s %14s\n", "topology", "fat-tree",
               "minhop", "dfsssp", "lash", "LID swap/copy");
   ibvs::bench::rule(100);
   for (const auto which : bench::selected_paper_trees()) {
-    const auto row = run_tree(which);
+    const auto& row = rows.emplace_back(run_tree(which));
     std::printf("%-34s", row.topo.c_str());
     for (int i = 0; i < 5; ++i) {
       if (row.ran[i]) {
@@ -134,6 +174,7 @@ void print_fig7() {
       "Shape to reproduce: PCt grows polynomially with subnet size; DFSSSP "
       "and LASH dominate at scale;\nthe proposed LID swap/copy "
       "reconfiguration spends zero time on path computation at any size.\n\n");
+  if (json_out) write_json(*json_out, rows);
 }
 
 /// Micro-benchmark: routing engines on the 324-node tree.
@@ -165,8 +206,10 @@ BENCHMARK(BM_PathComputation)
 int main(int argc, char** argv) {
   const auto metrics_out = ibvs::bench::consume_metrics_out(argc, argv);
   const auto trace_out = ibvs::bench::consume_trace_out(argc, argv);
+  const auto json_out =
+      ibvs::bench::consume_flag_value(argc, argv, "--json-out");
   ibvs::bench::consume_threads(argc, argv);
-  print_fig7();
+  print_fig7(json_out);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   ibvs::bench::dump_metrics(metrics_out);

@@ -8,11 +8,22 @@
 // on the destination LID, two LIDs on the same hypervisor can ride
 // different spines: the LMC-like multipathing the paper credits to the
 // prepopulated-LIDs scheme (§V-A).
+//
+// Routes are computed per attachment switch, not per LID. Every endpoint
+// LID behind one leaf shares that leaf's downward tree; only the delivery
+// port at the leaf and the d-mod-k uplink depend on the LID itself. Phase 1
+// therefore runs one BFS per *root* — each switch with endpoints attached
+// (upward over its ancestors) and each switch LID (a full shortest-path
+// tree toward the switch) — and stores one down-port column per root.
+// Phase 2 assembles each switch's LFT row from those columns: the LID's own
+// delivery port at its attachment switch, the column's down port where the
+// switch lies on the root's tree, and the up-rule everywhere else. Cost
+// O(roots·E + LIDs·S) with roots ≈ leaves + switches; one BFS per LID
+// would cost O(LIDs·E).
 #include <algorithm>
-#include <cstring>
+#include <span>
 
 #include "routing/engine.hpp"
-#include "util/expect.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -75,80 +86,172 @@ class FatTreeEngine final : public RoutingEngine {
           up_ports[s].end());
     }
 
-    // --- Phase 1: per destination, the unique downward tree. ---
-    // route[t * s_count + s] = down port at switch s for target t, or
-    // kDropPort where the up-rule applies.
-    std::vector<PortNum> route(t_count * s_count, kDropPort);
-    ThreadPool::global().parallel_for_chunks(
-        0, t_count, [&](std::size_t begin, std::size_t end) {
+    // --- Back ports: for edge u->v, v's first port (CSR order) facing u. ---
+    // This is the port v forwards on toward u. It is not always the far
+    // end of the edge's own cable (reverse_edge): parallel cables plugged
+    // in a different port order at the two ends make them differ, and the
+    // tables use v's first port.
+    std::vector<PortNum> back_port(g.num_edges(), kDropPort);
+    for (std::size_t u = 0; u < s_count; ++u) {
+      for (std::uint32_t e = g.adj_offset[u]; e < g.adj_offset[u + 1]; ++e) {
+        const auto [vf, vl] = g.out(g.edges[e].to);
+        for (const auto* back = vf; back != vl; ++back) {
+          if (back->to == u) {
+            back_port[e] = back->out_port;
+            break;
+          }
+        }
+      }
+    }
+
+    // --- Roots: one column per (attachment switch, LID kind). ---
+    // A column's members are its targets as (LID, delivery port), grouped
+    // CSR-style so Phase 2 can write a whole column at once.
+    struct Root {
+      SwitchIdx sw;
+      bool switch_lid;  ///< a switch's own LID (port 0) vs endpoints behind it
+    };
+    struct Member {
+      std::uint16_t lid;
+      PortNum port;
+    };
+    constexpr std::uint32_t kNoColumn = ~std::uint32_t{0};
+    std::vector<std::uint32_t> endpoint_col(s_count, kNoColumn);
+    std::vector<std::uint32_t> switch_col(s_count, kNoColumn);
+    const auto column_of = [&](const SwitchGraph::Target& t) -> auto& {
+      return t.port == 0 ? switch_col[t.sw] : endpoint_col[t.sw];
+    };
+    std::vector<Root> roots;
+    std::vector<std::uint32_t> member_offset{0};
+    for (const auto& t : g.targets) {
+      std::uint32_t& col = column_of(t);
+      if (col == kNoColumn) {
+        col = static_cast<std::uint32_t>(roots.size());
+        roots.push_back(Root{t.sw, t.port == 0});
+        member_offset.push_back(0);
+      }
+      ++member_offset[col + 1];
+    }
+    const std::size_t c_count = roots.size();
+    for (std::size_t c = 0; c < c_count; ++c) {
+      member_offset[c + 1] += member_offset[c];
+    }
+    std::vector<Member> members(t_count);
+    std::vector<std::uint32_t> cursor(member_offset.begin(),
+                                      member_offset.end() - 1);
+    for (const auto& t : g.targets) {
+      members[cursor[column_of(t)]++] = Member{t.lid.value(), t.port};
+    }
+
+    // Both phases fan out one task per worker; worker k takes the items
+    // k, k + shards, k + 2·shards, ... so that cheap and expensive items
+    // (upward vs full-tree columns; leaf vs core rows) spread evenly. Below
+    // kParallelMinWork units (edge checks or table entries) a phase runs
+    // serially: on a 4-core box both phases of the 324- and 648-node trees
+    // (at most ~0.2 M units, 0.02-0.13 ms) lose to serial at every pool
+    // size, while the 5832-node tree (~30 M units per phase) gains.
+    constexpr std::size_t kParallelMinWork = std::size_t{1} << 21;
+    const auto fan_out = [](std::size_t items, std::size_t work,
+                            const auto& body) {
+      if (work < kParallelMinWork) {
+        body(0, 1);
+        return;
+      }
+      ThreadPool& pool = ThreadPool::global();
+      const std::size_t shards = pool.shard_count(items);
+      pool.parallel_for_shards(
+          0, items, [&](std::size_t shard, std::size_t, std::size_t) {
+            body(shard, shards);
+          });
+    };
+
+    // --- Phase 1: per root, its down ports. ---
+    // down[c * s_count + s] = down port at switch s toward root c, or
+    // kDropPort where the up-rule applies. The root's own entry only marks
+    // it reached; Phase 2 delivers there on each LID's own port.
+    std::vector<PortNum> down(c_count * s_count, kDropPort);
+    fan_out(c_count, c_count * g.num_edges(),
+            [&](std::size_t k, std::size_t stride) {
           std::vector<SwitchIdx> frontier;
-          for (std::size_t ti = begin; ti < end; ++ti) {
-            const auto& target = g.targets[ti];
-            PortNum* row = route.data() + ti * s_count;
-            row[target.sw] = target.port;
-            frontier.clear();
-            frontier.push_back(target.sw);
-            if (target.port == 0) {
-              // Switch LID (management traffic): a plain shortest-path tree
-              // toward the switch. No spreading needed, and the up-rule
-              // below cannot reach mid-tier switches.
-              for (std::size_t head = 0; head < frontier.size(); ++head) {
-                const SwitchIdx near = frontier[head];
-                const auto [nf, nl] = g.out(near);
-                for (const auto* e = nf; e != nl; ++e) {
-                  const SwitchIdx far = e->to;
-                  if (row[far] != kDropPort || far == target.sw) continue;
-                  // far forwards toward `near`: find far's port facing near.
-                  const auto [ff, fl] = g.out(far);
-                  for (const auto* back = ff; back != fl; ++back) {
-                    if (back->to == near) {
-                      row[far] = back->out_port;
-                      break;
-                    }
-                  }
-                  frontier.push_back(far);
-                }
-              }
-              continue;
-            }
-            // Endpoint LID: BFS upward from the attachment switch; every
-            // ancestor's down port is its port toward the child it was
-            // discovered from. Non-ancestors use the d-mod-k up-rule.
-            for (std::size_t head = 0; head < frontier.size(); ++head) {
-              const SwitchIdx child = frontier[head];
-              const auto [cf, cl] = g.out(child);
-              for (const auto* e = cf; e != cl; ++e) {
-                const SwitchIdx anc = e->to;
-                if (level[anc] != level[child] + 1) continue;
-                if (row[anc] != kDropPort) continue;  // already reached
-                // Find the ancestor's port facing this child.
-                const auto [af, al] = g.out(anc);
-                for (const auto* back = af; back != al; ++back) {
-                  if (back->to == child) {
-                    row[anc] = back->out_port;
-                    break;
-                  }
-                }
-                frontier.push_back(anc);
+          for (std::size_t c = k; c < c_count; c += stride) {
+            const Root root = roots[c];
+            PortNum* col = down.data() + c * s_count;
+            col[root.sw] = 0;
+            frontier.assign(1, root.sw);
+            // Switch LID (management traffic): a plain shortest-path tree
+            // toward the switch — the up-rule cannot reach mid-tier
+            // switches. Endpoints: BFS upward from the attachment switch;
+            // every ancestor forwards down toward the child it was first
+            // discovered from, and non-ancestors use the up-rule. Either
+            // way a switch is entered once, on the first edge that reaches
+            // it, and forwards on that edge's back port. Once every switch
+            // is reached the rest of the frontier can change nothing.
+            for (std::size_t head = 0;
+                 head < frontier.size() && frontier.size() < s_count;
+                 ++head) {
+              const SwitchIdx near = frontier[head];
+              const unsigned up_level = level[near] + 1u;
+              for (std::uint32_t e = g.adj_offset[near];
+                   e < g.adj_offset[near + 1]; ++e) {
+                const SwitchIdx far = g.edges[e].to;
+                if (!root.switch_lid && level[far] != up_level) continue;
+                if (col[far] != kDropPort) continue;  // already reached
+                col[far] = back_port[e];
+                frontier.push_back(far);
               }
             }
           }
         });
 
-    // --- Phase 2: assemble LFTs; up-rule fills the gaps. ---
+    // --- Phase 2: assemble LFT rows, one switch at a time. ---
+    // A row starts as the d-mod-k up-rule for every target; each column
+    // then overwrites its members with its down port at this switch, and
+    // the switch's own columns deliver on each LID's port. Consecutive
+    // switches usually share one up-port list, so each worker rebuilds the
+    // up-rule row only when the list changes. The tables are allocated
+    // here, on the calling thread: sized inside the workers they land in
+    // per-thread heaps, and on boot_5832 peak RSS then wandered between 98
+    // and 126 MB instead of holding at 99.5 MB.
     result.lfts.assign(s_count, Lft(lids.top_lid()));
-    ThreadPool::global().parallel_for_chunks(
-        0, s_count, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t s = begin; s < end; ++s) {
-            Lft& lft = result.lfts[s];
-            for (std::size_t ti = 0; ti < t_count; ++ti) {
-              PortNum port = route[ti * s_count + s];
-              if (port == kDropPort) {
-                const auto& ups = up_ports[s];
-                if (ups.empty()) continue;  // disconnected from the tree
-                port = ups[g.targets[ti].lid.value() % ups.size()];
+    const std::size_t entries =
+        s_count == 0 ? 0 : result.lfts.front().capacity();
+    fan_out(s_count, s_count * t_count,
+            [&](std::size_t k, std::size_t stride) {
+          std::vector<PortNum> up_row(entries, kDropPort);
+          const std::vector<PortNum>* up_row_ports = nullptr;
+          std::vector<PortNum> row(entries);
+          for (std::size_t s = k; s < s_count; s += stride) {
+            const auto& ups = up_ports[s];
+            if (up_row_ports == nullptr || *up_row_ports != ups) {
+              std::fill(up_row.begin(), up_row.end(), kDropPort);
+              // No up ports: disconnected from the tree, the gaps drop.
+              const auto n_ups = static_cast<std::uint32_t>(ups.size());
+              if (n_ups != 0) {
+                for (const auto& t : g.targets) {
+                  up_row[t.lid.value()] = ups[t.lid.value() % n_ups];
+                }
               }
-              lft.set(g.targets[ti].lid, port);
+              up_row_ports = &ups;
+            }
+            std::copy(up_row.begin(), up_row.end(), row.begin());
+            for (std::size_t c = 0; c < c_count; ++c) {
+              const Member* first = members.data() + member_offset[c];
+              const Member* last = members.data() + member_offset[c + 1];
+              if (roots[c].sw == s) {
+                for (const Member* m = first; m != last; ++m) {
+                  row[m->lid] = m->port;
+                }
+                continue;
+              }
+              const PortNum port = down[c * s_count + s];
+              if (port == kDropPort) continue;
+              for (const Member* m = first; m != last; ++m) row[m->lid] = port;
+            }
+            Lft& lft = result.lfts[s];
+            for (std::size_t b = 0; b < lft.block_count(); ++b) {
+              lft.set_block(b, std::span<const PortNum>(
+                                   row.data() + b * kLftBlockSize,
+                                   kLftBlockSize));
             }
             lft.clear_dirty();
           }

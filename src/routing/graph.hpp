@@ -89,7 +89,8 @@ struct SwitchGraph {
 };
 
 /// Hop-count matrix between switches (row-major, S*S, 0xFF = unreachable).
-/// Shared by Min-Hop and Fat-Tree routing; computed by parallel BFS.
+/// Used by Min-Hop routing, topology-transaction route repair and journal
+/// recovery; computed by parallel BFS.
 std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph);
 
 }  // namespace ibvs::routing

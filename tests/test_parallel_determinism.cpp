@@ -1,11 +1,12 @@
 // Determinism contract of the parallel sweep fast path.
 //
 // The diff/extraction phases of LFT distribution, DFSSSP deadlock removal,
-// and the fabric checker run on the global thread pool — but the observable
-// outputs must be byte-identical to a single-threaded run: the SMP stream
-// (order included), the computed tables, the per-destination VLs, the
-// checker report, and the chaos digest. These tests pin that contract by
-// running the same scenario at 1 and 4 threads and comparing everything.
+// fat-tree routing, and the fabric checker run on the global thread pool —
+// but the observable outputs must be byte-identical to a single-threaded
+// run: the SMP stream (order included), the computed tables, the
+// per-destination VLs, the checker report, and the chaos digest. These
+// tests pin that contract by running the same scenario at 1 and 4 threads
+// and comparing everything.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,6 +97,39 @@ TEST(ParallelDeterminism, DfssspTablesAndVlsMatchSingleThreaded) {
   EXPECT_EQ(results[0].lfts, results[1].lfts);
   EXPECT_EQ(results[0].dest_vl, results[1].dest_vl);
   EXPECT_EQ(results[0].num_vls, results[1].num_vls);
+}
+
+TEST(ParallelDeterminism, FatTreeTablesMatchSingleThreaded) {
+  // A 3-level tree with every VF LID prepopulated, wide enough (468
+  // switches, ~7k LIDs) that both fat-tree phases fan out at 4 and 8
+  // threads instead of taking their small-fabric serial path.
+  Fabric fabric;
+  const auto built = topology::build_three_level_fat_tree(
+      fabric, topology::ThreeLevelParams{.num_pods = 36,
+                                         .leaves_per_pod = 6,
+                                         .spines_per_pod = 6,
+                                         .num_cores = 36,
+                                         .hosts_per_leaf = 6,
+                                         .radix = 36});
+  const auto hyps = core::attach_hypervisors(fabric, built.host_slots, 4);
+  LidMap lids;
+  for (const NodeId sw : fabric.switch_ids()) lids.assign_next(fabric, sw, 0);
+  for (const auto& hyp : hyps) lids.assign_next(fabric, hyp.pf, 1);
+  for (const auto& hyp : hyps) {
+    for (const NodeId vf : hyp.vfs) lids.assign_next(fabric, vf, 1);
+  }
+
+  std::vector<std::vector<Lft>> lfts;
+  for (const std::size_t threads : kThreadSweep) {
+    ThreadGuard guard(threads);
+    lfts.push_back(routing::make_engine(routing::EngineKind::kFatTree)
+                       ->compute(fabric, lids)
+                       .lfts);
+  }
+  ASSERT_EQ(lfts[0].size(), built.num_switches());
+  for (std::size_t run = 1; run < lfts.size(); ++run) {
+    EXPECT_EQ(lfts[0], lfts[run]) << kThreadSweep[run] << " threads";
+  }
 }
 
 TEST(ParallelDeterminism, CheckerReportMatchesSingleThreaded) {

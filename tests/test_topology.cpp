@@ -31,12 +31,18 @@ TEST_P(PaperTreeTest, MatchesTableI) {
   fabric.validate();
 }
 
+/// Static storage, so the padding after `which` is zeroed: gtest prints the
+/// raw bytes of the parameter into the test name, and shapes built on the
+/// stack would carry whatever the padding bytes held there.
+constexpr PaperShape kPaperShapes[] = {
+    {PaperFatTree::k324, 324, 36},
+    {PaperFatTree::k648, 648, 54},
+    {PaperFatTree::k5832, 5832, 972},
+    {PaperFatTree::k11664, 11664, 1620},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    TableI, PaperTreeTest,
-    ::testing::Values(PaperShape{PaperFatTree::k324, 324, 36},
-                      PaperShape{PaperFatTree::k648, 648, 54},
-                      PaperShape{PaperFatTree::k5832, 5832, 972},
-                      PaperShape{PaperFatTree::k11664, 11664, 1620}),
+    TableI, PaperTreeTest, ::testing::ValuesIn(kPaperShapes),
     [](const auto& info) {
       return "n" + std::to_string(info.param.nodes);
     });

@@ -392,7 +392,23 @@ std::optional<std::size_t> CloudOrchestrator::pick_fallback(
 MigrationTxnReport CloudOrchestrator::migrate_txn(
     core::VmHandle vm, std::size_t dst_hypervisor,
     const core::MigrationOptions& options, const TxnPolicy& policy) {
-  auto span = telemetry::Tracer::global().span("cloud.migrate_txn");
+  return run_txn("cloud.migrate_txn", vm, nullptr, dst_hypervisor, options,
+                 policy);
+}
+
+MigrationTxnReport CloudOrchestrator::swap_txn(
+    core::VmHandle vm_a, core::VmHandle vm_b,
+    const core::MigrationOptions& options, const TxnPolicy& policy) {
+  // The destination is the peer's hypervisor, known once the swap opens.
+  return run_txn("cloud.swap_txn", vm_a, &vm_b, /*dst_hypervisor=*/0, options,
+                 policy);
+}
+
+MigrationTxnReport CloudOrchestrator::run_txn(
+    const char* span_name, core::VmHandle vm, const core::VmHandle* peer,
+    std::size_t dst_hypervisor, const core::MigrationOptions& options,
+    const TxnPolicy& policy) {
+  auto span = telemetry::Tracer::global().span(span_name);
   MigrationTxnReport report;
   report.dst_hypervisor = dst_hypervisor;
   const std::size_t requested_dst = dst_hypervisor;
@@ -403,6 +419,15 @@ MigrationTxnReport CloudOrchestrator::migrate_txn(
     txn.state = state;
     if (policy.on_step) policy.on_step(state, txn);
   };
+  // Re-placement picks another destination after a destination-side
+  // failure. Never for a swap: its destination IS the peer.
+  const auto replace = [&] {
+    if (peer != nullptr || !policy.allow_replacement) return false;
+    tried.push_back(dst_hypervisor);
+    const auto next = pick_fallback(vm, tried);
+    if (next) dst_hypervisor = *next;
+    return next.has_value();
+  };
 
   for (std::size_t attempt = 1; attempt <= policy.max_attempts; ++attempt) {
     report.attempts = attempt;
@@ -412,28 +437,28 @@ MigrationTxnReport CloudOrchestrator::migrate_txn(
     }
     std::optional<core::MigrationTxn> txn;
     try {
-      txn = fabric_.begin_migration(vm, dst_hypervisor, options);
+      txn = peer != nullptr
+                ? fabric_.begin_swap(vm, *peer, options)
+                : fabric_.begin_migration(vm, dst_hypervisor, options);
     } catch (const core::MigrationError& e) {
       report.error = e.what();
       const auto code = e.code();
       const bool placement_issue =
           code == core::MigrationErrc::kNoFreeVf ||
           code == core::MigrationErrc::kBadDestination;
-      if (placement_issue && policy.allow_replacement) {
-        tried.push_back(dst_hypervisor);
-        if (const auto next = pick_fallback(vm, tried)) {
-          dst_hypervisor = *next;
-          continue;
-        }
-      }
+      if (placement_issue && replace()) continue;
       break;  // unrecoverable without a destination
     }
     opened_txn = true;
+    if (txn->is_swap) report.dst_hypervisor = txn->dst_hypervisor;
     try {
       if (policy.on_step) policy.on_step(core::TxnState::kPrepared, *txn);
       // §VII-B steps 1-2: detach the VF, pre-copy memory. These are
       // wall-clock phases; the chaos hook may kill the destination at any
-      // of these edges and the next phase revalidates.
+      // of these edges and the next phase revalidates. A swap's two VFs
+      // detach and its two memories pre-copy concurrently (the copies cross
+      // different host pairs' links), so the wall clock pays each phase
+      // once, not twice.
       enter(*txn, core::TxnState::kDetached);
       report.elapsed_s += timing_.detach_vf_s;
       enter(*txn, core::TxnState::kCopied);
@@ -450,14 +475,16 @@ MigrationTxnReport CloudOrchestrator::migrate_txn(
           txn->stats.lft_time_us + txn->stats.drain_time_us;
       report.elapsed_s += reconfig_us * 1e-6;
       // Per-step budget from the TimingModel: a batch slower than the
-      // worst-case reliable-MAD budget for every touched switch (plus the
-      // three address SMPs) means MADs are genuinely lost, not slow.
+      // worst-case reliable-MAD budget for every touched switch plus every
+      // address SMP the move sent (three for a migration, four for a swap)
+      // means MADs are genuinely lost, not slow.
       double budget_us = policy.reconfig_timeout_us;
       if (budget_us <= 0.0) {
         const auto& tm = fabric_.subnet_manager().transport().timing();
-        budget_us =
-            tm.mad_budget_us(8) *
-            static_cast<double>(txn->stats.switches_total + 3);
+        budget_us = tm.mad_budget_us(8) *
+                    static_cast<double>(txn->stats.switches_total +
+                                        txn->stats.hypervisor_lid_smps +
+                                        txn->stats.guid_smps);
       }
       if (reconfig_us > budget_us) {
         throw core::MigrationError(
@@ -466,19 +493,25 @@ MigrationTxnReport CloudOrchestrator::migrate_txn(
                 "us against a budget of " + std::to_string(budget_us) + "us");
       }
       // Step 4: attach at the destination — which may have died since the
-      // copy; a dead destination cannot complete the hot-plug.
+      // copy; a dead destination cannot complete the hot-plug. A swap
+      // attaches at both ends.
       enter(*txn, core::TxnState::kAttached);
       report.elapsed_s += timing_.attach_vf_s;
-      if (!hypervisor_attached(txn->dst_hypervisor)) {
+      if (!hypervisor_attached(txn->dst_hypervisor) ||
+          (txn->is_swap && !hypervisor_attached(txn->src_hypervisor))) {
         throw core::MigrationError(
             core::MigrationErrc::kDestinationDetached,
-            "hypervisor " + std::to_string(txn->dst_hypervisor) +
-                " died before the VF attach");
+            txn->is_swap ? std::string("a swap endpoint died before the VF "
+                                       "attach")
+                         : "hypervisor " +
+                               std::to_string(txn->dst_hypervisor) +
+                               " died before the VF attach");
       }
       fabric_.txn_commit(*txn);
       report.outcome = TxnOutcome::kCommitted;
       report.dst_hypervisor = txn->dst_hypervisor;
-      report.replaced = txn->dst_hypervisor != requested_dst;
+      report.replaced =
+          !txn->is_swap && txn->dst_hypervisor != requested_dst;
       report.reconfig = txn->stats;
       report.error.clear();
       break;
@@ -495,110 +528,8 @@ MigrationTxnReport CloudOrchestrator::migrate_txn(
           code == core::MigrationErrc::kInterrupted ||
           code == core::MigrationErrc::kNoFreeVf;
       if (!retryable) break;
-      if (policy.allow_replacement) {
-        tried.push_back(dst_hypervisor);
-        if (const auto next = pick_fallback(vm, tried)) {
-          dst_hypervisor = *next;
-        }
-        // No fallback: retry the same destination — it may come back.
-      }
-    }
-  }
-
-  if (report.outcome != TxnOutcome::kCommitted) {
-    report.outcome = opened_txn ? TxnOutcome::kRolledBack : TxnOutcome::kFailed;
-    if (!opened_txn) CloudMetrics::get().migrations_failed.inc();
-  }
-  span.set_attr("outcome", to_string(report.outcome));
-  span.set_attr("attempts", std::to_string(report.attempts));
-  return report;
-}
-
-MigrationTxnReport CloudOrchestrator::swap_txn(
-    core::VmHandle vm_a, core::VmHandle vm_b,
-    const core::MigrationOptions& options, const TxnPolicy& policy) {
-  auto span = telemetry::Tracer::global().span("cloud.swap_txn");
-  MigrationTxnReport report;
-  bool opened_txn = false;
-
-  const auto enter = [&](core::MigrationTxn& txn, core::TxnState state) {
-    txn.state = state;
-    if (policy.on_step) policy.on_step(state, txn);
-  };
-
-  for (std::size_t attempt = 1; attempt <= policy.max_attempts; ++attempt) {
-    report.attempts = attempt;
-    if (attempt > 1) {
-      report.elapsed_s +=
-          policy.backoff_base_s * static_cast<double>(1ULL << (attempt - 2));
-    }
-    std::optional<core::MigrationTxn> txn;
-    try {
-      txn = fabric_.begin_swap(vm_a, vm_b, options);
-    } catch (const core::MigrationError& e) {
-      // No replacement path for a swap: the destination IS the peer.
-      report.error = e.what();
-      break;
-    }
-    opened_txn = true;
-    report.dst_hypervisor = txn->dst_hypervisor;
-    try {
-      if (policy.on_step) policy.on_step(core::TxnState::kPrepared, *txn);
-      // Both VFs detach and both memories pre-copy concurrently (the
-      // copies cross different host pairs' links), so the wall clock pays
-      // each phase once, not twice.
-      enter(*txn, core::TxnState::kDetached);
-      report.elapsed_s += timing_.detach_vf_s;
-      enter(*txn, core::TxnState::kCopied);
-      report.elapsed_s += timing_.memory_copy_s() + timing_.signal_s;
-      fabric_.txn_move_addresses(*txn);
-      if (policy.on_step) {
-        policy.on_step(core::TxnState::kReconfiguring, *txn);
-      }
-      fabric_.txn_apply_lfts(
-          *txn, core::VSwitchFabric::ApplyOptions{.require_reachable = true});
-      const double reconfig_us =
-          txn->stats.lft_time_us + txn->stats.drain_time_us;
-      report.elapsed_s += reconfig_us * 1e-6;
-      double budget_us = policy.reconfig_timeout_us;
-      if (budget_us <= 0.0) {
-        const auto& tm = fabric_.subnet_manager().transport().timing();
-        // One extra address SMP against the plain-migration budget: a swap
-        // sends four (two LIDs, two vGUIDs).
-        budget_us = tm.mad_budget_us(8) *
-                    static_cast<double>(txn->stats.switches_total + 4);
-      }
-      if (reconfig_us > budget_us) {
-        throw core::MigrationError(
-            core::MigrationErrc::kStepTimeout,
-            "reconfiguration took " + std::to_string(reconfig_us) +
-                "us against a budget of " + std::to_string(budget_us) + "us");
-      }
-      enter(*txn, core::TxnState::kAttached);
-      report.elapsed_s += timing_.attach_vf_s;
-      if (!hypervisor_attached(txn->dst_hypervisor) ||
-          !hypervisor_attached(txn->src_hypervisor)) {
-        throw core::MigrationError(
-            core::MigrationErrc::kDestinationDetached,
-            "a swap endpoint died before the VF attach");
-      }
-      fabric_.txn_commit(*txn);
-      report.outcome = TxnOutcome::kCommitted;
-      report.reconfig = txn->stats;
-      report.error.clear();
-      break;
-    } catch (const core::MigrationError& e) {
-      report.error = e.what();
-      if (!txn->terminal()) fabric_.txn_rollback(*txn);
-      report.rollback_smps += txn->rollback_smps;
-      report.elapsed_s += txn->rollback_time_us * 1e-6;
-      const auto code = e.code();
-      const bool retryable =
-          code == core::MigrationErrc::kDestinationDetached ||
-          code == core::MigrationErrc::kSwitchUnreachable ||
-          code == core::MigrationErrc::kStepTimeout ||
-          code == core::MigrationErrc::kInterrupted;
-      if (!retryable) break;
+      // No fallback: retry the same destination — it may come back.
+      replace();
     }
   }
 

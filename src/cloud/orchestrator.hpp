@@ -291,6 +291,14 @@ class CloudOrchestrator {
 
  private:
   std::optional<std::size_t> pick_hypervisor();
+  /// The retry loop behind migrate_txn and swap_txn. A non-null `peer`
+  /// makes each attempt a destination swap with that VM, which is never
+  /// re-placed; otherwise `dst_hypervisor` is the requested destination.
+  MigrationTxnReport run_txn(const char* span_name, core::VmHandle vm,
+                             const core::VmHandle* peer,
+                             std::size_t dst_hypervisor,
+                             const core::MigrationOptions& options,
+                             const TxnPolicy& policy);
   /// Placement only considers hypervisors whose PF is physically attached:
   /// a host whose uplink (or leaf) is down cannot receive a VM.
   [[nodiscard]] bool hypervisor_attached(std::size_t h) const;

@@ -274,42 +274,14 @@ MigrationTxn VSwitchFabric::begin_migration(VmHandle handle,
         "no free VF on hypervisor " + std::to_string(dst_hypervisor));
   }
 
-  const VirtualHca& src = hypervisors_[vm.hypervisor];
-  const VirtualHca& dst = hypervisors_[dst_hypervisor];
-  MigrationTxn txn;
-  txn.vm = handle;
-  txn.src_hypervisor = vm.hypervisor;
-  txn.dst_hypervisor = dst_hypervisor;
-  txn.src_vf_index = vm.vf_index;
-  txn.dst_vf_index = *dst_vf_idx;
-  txn.vm_lid = vm.lid;
-  txn.vguid = vm.vguid;
-  txn.options = options;
-  txn.intra_leaf = src.leaf == dst.leaf;
+  Lid swapped_lid;
   if (scheme_ == LidScheme::kPrepopulated) {
-    txn.swapped_lid = sm_->fabric().node(dst.vfs[*dst_vf_idx]).lid();
-    IBVS_ENSURE(txn.swapped_lid.valid(), "destination VF lost its LID");
+    swapped_lid =
+        sm_->fabric().node(hypervisors_[dst_hypervisor].vfs[*dst_vf_idx]).lid();
+    IBVS_ENSURE(swapped_lid.valid(), "destination VF lost its LID");
   }
-
-  // Open the write-ahead record: durable identities for the SM (a new
-  // master replays by NodeId/Lid), orchestrator tags for reconciliation.
-  sm::MigrationRecord record;
-  record.vm_id = vm.id;
-  record.vm_lid = vm.lid;
-  record.swapped_lid = txn.swapped_lid;
-  record.vguid = vm.vguid;
-  record.src_vf = src.vfs[vm.vf_index];
-  record.dst_vf = dst.vfs[*dst_vf_idx];
-  record.src_pf = src.pf;
-  record.dst_pf = dst.pf;
-  record.src_vf_slot = static_cast<PortNum>(vm.vf_index);
-  record.dst_vf_slot = static_cast<PortNum>(*dst_vf_idx);
-  record.src_hypervisor = vm.hypervisor;
-  record.dst_hypervisor = dst_hypervisor;
-  record.src_vf_index = vm.vf_index;
-  record.dst_vf_index = *dst_vf_idx;
-  txn.id = journal_.begin(std::move(record));
-  return txn;
+  return open_txn(vm, dst_hypervisor, *dst_vf_idx, swapped_lid, nullptr,
+                  options);
 }
 
 MigrationTxn VSwitchFabric::begin_swap(VmHandle vm_a, VmHandle vm_b,
@@ -335,41 +307,51 @@ MigrationTxn VSwitchFabric::begin_swap(VmHandle vm_a, VmHandle vm_b,
                              std::to_string(a.hypervisor));
   }
 
-  const VirtualHca& src = hypervisors_[a.hypervisor];
-  const VirtualHca& dst = hypervisors_[b.hypervisor];
+  // The peer's LID swaps back, both schemes.
+  return open_txn(a, b.hypervisor, b.vf_index, b.lid, &b, options);
+}
+
+MigrationTxn VSwitchFabric::open_txn(const Vm& vm, std::size_t dst_hypervisor,
+                                     std::size_t dst_vf_index, Lid swapped_lid,
+                                     const Vm* peer,
+                                     const MigrationOptions& options) {
+  const VirtualHca& src = hypervisors_[vm.hypervisor];
+  const VirtualHca& dst = hypervisors_[dst_hypervisor];
   MigrationTxn txn;
-  txn.vm = vm_a;
-  txn.is_swap = true;
-  txn.peer_vm = vm_b;
-  txn.peer_vguid = b.vguid;
-  txn.src_hypervisor = a.hypervisor;
-  txn.dst_hypervisor = b.hypervisor;
-  txn.src_vf_index = a.vf_index;
-  txn.dst_vf_index = b.vf_index;
-  txn.vm_lid = a.lid;
-  txn.swapped_lid = b.lid;  // the peer's LID swaps back, both schemes
-  txn.vguid = a.vguid;
+  txn.vm = VmHandle{vm.id};
+  txn.src_hypervisor = vm.hypervisor;
+  txn.dst_hypervisor = dst_hypervisor;
+  txn.src_vf_index = vm.vf_index;
+  txn.dst_vf_index = dst_vf_index;
+  txn.vm_lid = vm.lid;
+  txn.swapped_lid = swapped_lid;
+  txn.vguid = vm.vguid;
   txn.options = options;
   txn.intra_leaf = src.leaf == dst.leaf;
 
+  // Open the write-ahead record: durable identities for the SM (a new
+  // master replays by NodeId/Lid), orchestrator tags for reconciliation.
   sm::MigrationRecord record;
-  record.vm_id = a.id;
-  record.vm_lid = a.lid;
-  record.swapped_lid = b.lid;
-  record.vguid = a.vguid;
-  record.swap_pair = true;
-  record.peer_vm_id = b.id;
-  record.peer_vguid = b.vguid;
-  record.src_vf = src.vfs[a.vf_index];
-  record.dst_vf = dst.vfs[b.vf_index];
+  record.vm_id = vm.id;
+  record.vm_lid = vm.lid;
+  record.swapped_lid = swapped_lid;
+  record.vguid = vm.vguid;
+  if (peer != nullptr) {
+    txn.is_swap = record.swap_pair = true;
+    txn.peer_vm = VmHandle{peer->id};
+    record.peer_vm_id = peer->id;
+    txn.peer_vguid = record.peer_vguid = peer->vguid;
+  }
+  record.src_vf = src.vfs[vm.vf_index];
+  record.dst_vf = dst.vfs[dst_vf_index];
   record.src_pf = src.pf;
   record.dst_pf = dst.pf;
-  record.src_vf_slot = static_cast<PortNum>(a.vf_index);
-  record.dst_vf_slot = static_cast<PortNum>(b.vf_index);
-  record.src_hypervisor = a.hypervisor;
-  record.dst_hypervisor = b.hypervisor;
-  record.src_vf_index = a.vf_index;
-  record.dst_vf_index = b.vf_index;
+  record.src_vf_slot = static_cast<PortNum>(vm.vf_index);
+  record.dst_vf_slot = static_cast<PortNum>(dst_vf_index);
+  record.src_hypervisor = vm.hypervisor;
+  record.dst_hypervisor = dst_hypervisor;
+  record.src_vf_index = vm.vf_index;
+  record.dst_vf_index = dst_vf_index;
   txn.id = journal_.begin(std::move(record));
   return txn;
 }
@@ -399,40 +381,29 @@ void VSwitchFabric::txn_move_addresses(MigrationTxn& txn) {
 
   // Write-ahead: the journal learns the addresses are moving before the
   // first SMP leaves the SM.
-  journal_.record_addresses_moved(txn.id);
+  journal_.mark_started(txn.id);
 
   // ---- Step (a): migrate the IB addresses (§V-C a). One SMP per
-  // participating hypervisor for the LID, one per vGUID landing. ----
+  // participating hypervisor for the LID, one per vGUID landing. A swap
+  // keeps both VFs populated — each side takes the peer's LID and vGUID,
+  // which is why it needs no free VF anywhere. ----
+  const auto src_slot = static_cast<PortNum>(txn.src_vf_index);
+  const auto dst_slot = static_cast<PortNum>(txn.dst_vf_index);
+  transport.send_vf_lid_assign(src.pf, src_slot,
+                               txn.is_swap ? txn.swapped_lid : kInvalidLid,
+                               txn.options.smp_routing);
+  transport.send_vf_lid_assign(dst.pf, dst_slot, txn.vm_lid,
+                               txn.options.smp_routing);
+  txn.stats.hypervisor_lid_smps = 2;
+  fabric.node(vf_src).alias_guid = txn.is_swap ? txn.peer_vguid : kInvalidGuid;
+  fabric.node(vf_dst).alias_guid = txn.vguid;
+  transport.send_guid_info(dst.pf, dst_slot, txn.vguid,
+                           txn.options.smp_routing);
+  txn.stats.guid_smps = 1;
   if (txn.is_swap) {
-    // Both VFs stay populated: each side takes the peer's LID and vGUID.
-    // This is why a swap needs no free VF anywhere.
-    transport.send_vf_lid_assign(src.pf,
-                                 static_cast<PortNum>(txn.src_vf_index),
-                                 txn.swapped_lid, txn.options.smp_routing);
-    transport.send_vf_lid_assign(dst.pf,
-                                 static_cast<PortNum>(txn.dst_vf_index),
-                                 txn.vm_lid, txn.options.smp_routing);
-    txn.stats.hypervisor_lid_smps = 2;
-    fabric.node(vf_src).alias_guid = txn.peer_vguid;
-    fabric.node(vf_dst).alias_guid = txn.vguid;
-    transport.send_guid_info(dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-                             txn.vguid, txn.options.smp_routing);
-    transport.send_guid_info(src.pf, static_cast<PortNum>(txn.src_vf_index),
-                             txn.peer_vguid, txn.options.smp_routing);
+    transport.send_guid_info(src.pf, src_slot, txn.peer_vguid,
+                             txn.options.smp_routing);
     txn.stats.guid_smps = 2;
-  } else {
-    transport.send_vf_lid_assign(src.pf,
-                                 static_cast<PortNum>(txn.src_vf_index),
-                                 kInvalidLid, txn.options.smp_routing);
-    transport.send_vf_lid_assign(dst.pf,
-                                 static_cast<PortNum>(txn.dst_vf_index),
-                                 txn.vm_lid, txn.options.smp_routing);
-    txn.stats.hypervisor_lid_smps = 2;
-    fabric.node(vf_src).alias_guid = kInvalidGuid;
-    fabric.node(vf_dst).alias_guid = txn.vguid;
-    transport.send_guid_info(dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-                             txn.vguid, txn.options.smp_routing);
-    txn.stats.guid_smps = 1;
   }
 
   if (txn.swapped_lid.valid()) {
@@ -455,7 +426,6 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
   IBVS_REQUIRE(txn.state == TxnState::kReconfiguring && txn.addresses_moved,
                "move the addresses before applying LFTs");
   Fabric& fabric = sm_->fabric();
-  auto& transport = sm_->transport();
   const Lid vm_lid = txn.vm_lid;
   const Lid swapped_lid = txn.swapped_lid;
 
@@ -559,70 +529,56 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
           {sw, swapped_lid, swap_delta.old_entry[s], swap_delta.new_entry[s]});
     }
   }
-  journal_.record_deltas(txn.id, std::move(planned));
+  const std::vector<sm::LftDelta>& journaled =
+      journal_.record_deltas(txn.id, std::move(planned));
+
+  // Both passes capture into txn.applied the entry value actually in place
+  // immediately before each write (kDropPort on drained switches), so
+  // rollback can restore the exact prior bytes by replaying inverses in
+  // reverse. An unreachable switch (when required) or the abort hook ends
+  // a pass early.
+  const auto throw_if_cut_short = [&](const sm::LftApplyResult& pass,
+                                      const char* during, const char* mid) {
+    if (pass.status == sm::LftApplyStatus::kUnreachable) {
+      throw MigrationError(MigrationErrc::kSwitchUnreachable,
+                           fabric.node(pass.failed_switch).name +
+                               " unreachable during " + during);
+    }
+    if (pass.status == sm::LftApplyStatus::kSmpBudget) {
+      throw MigrationError(
+          MigrationErrc::kInterrupted,
+          std::string("reconfiguration batch cut short ") + mid);
+    }
+  };
 
   // Optional drain pass (§VI-C): drop traffic for the VM LID on every
   // switch about to change, one SMP each, before the real update.
   if (txn.options.drain_first && !vm_set.empty()) {
     VSwitchMetrics::get().drain_passes.inc();
-    transport.begin_batch();
+    std::vector<sm::LftDelta> drain;
+    drain.reserve(vm_set.size());
     for (routing::SwitchIdx s : vm_set) {
-      if (apply.require_reachable &&
-          !transport.hops_to(routing.graph.switches[s])) {
-        txn.stats.drain_time_us += transport.end_batch();
-        throw MigrationError(MigrationErrc::kSwitchUnreachable,
-                             fabric.node(routing.graph.switches[s]).name +
-                                 " unreachable during the drain pass");
-      }
-      txn.applied.push_back({routing.graph.switches[s], vm_lid,
-                             routing.lfts[s].get(vm_lid), kDropPort});
-      sm_->update_master_entry(s, vm_lid, kDropPort);
-      txn.stats.drain_smps +=
-          sm_->push_dirty_blocks(s, txn.options.smp_routing);
-      if (txn.stats.drain_smps + txn.stats.lft_smps >=
-          apply.abort_after_smps) {
-        txn.stats.drain_time_us += transport.end_batch();
-        throw MigrationError(MigrationErrc::kInterrupted,
-                             "reconfiguration batch cut short mid-drain");
-      }
+      drain.push_back({routing.graph.switches[s], vm_lid,
+                       last_delta_.old_entry[s], kDropPort});
     }
-    txn.stats.drain_time_us += transport.end_batch();
+    const auto pass = sm::apply_lft_deltas(
+        *sm_, drain, txn.applied, txn.options.smp_routing,
+        apply.require_reachable, txn.stats.drain_smps + txn.stats.lft_smps,
+        apply.abort_after_smps);
+    txn.stats.drain_smps += pass.smps;
+    txn.stats.drain_time_us += pass.time_us;
+    throw_if_cut_short(pass, "the drain pass", "mid-drain");
   }
 
   // The real update: 1 SMP per touched block — for a swap that is 1 when
   // both LIDs share a 64-LID block, else 2 (Fig. 5); for a copy always 1.
-  // txn.applied captures the entry value actually in place immediately
-  // before each write (kDropPort on drained switches), so rollback can
-  // restore the exact prior bytes by replaying inverses in reverse.
-  transport.begin_batch();
-  for (routing::SwitchIdx s : update_set) {
-    if (apply.require_reachable &&
-        !transport.hops_to(routing.graph.switches[s])) {
-      txn.stats.lft_time_us += transport.end_batch();
-      throw MigrationError(MigrationErrc::kSwitchUnreachable,
-                           fabric.node(routing.graph.switches[s]).name +
-                               " unreachable during reconfiguration");
-    }
-    if (in_vm_set[s]) {
-      txn.applied.push_back({routing.graph.switches[s], vm_lid,
-                             routing.lfts[s].get(vm_lid),
-                             last_delta_.new_entry[s]});
-      sm_->update_master_entry(s, vm_lid, last_delta_.new_entry[s]);
-    }
-    if (in_vf_set[s]) {
-      txn.applied.push_back({routing.graph.switches[s], swapped_lid,
-                             routing.lfts[s].get(swapped_lid),
-                             swap_delta.new_entry[s]});
-      sm_->update_master_entry(s, swapped_lid, swap_delta.new_entry[s]);
-    }
-    txn.stats.lft_smps += sm_->push_dirty_blocks(s, txn.options.smp_routing);
-    if (txn.stats.drain_smps + txn.stats.lft_smps >= apply.abort_after_smps) {
-      txn.stats.lft_time_us += transport.end_batch();
-      throw MigrationError(MigrationErrc::kInterrupted,
-                           "reconfiguration batch cut short mid-update");
-    }
-  }
-  txn.stats.lft_time_us += transport.end_batch();
+  const auto pass = sm::apply_lft_deltas(
+      *sm_, journaled, txn.applied, txn.options.smp_routing,
+      apply.require_reachable, txn.stats.drain_smps + txn.stats.lft_smps,
+      apply.abort_after_smps);
+  txn.stats.lft_smps += pass.smps;
+  txn.stats.lft_time_us += pass.time_us;
+  throw_if_cut_short(pass, "reconfiguration", "mid-update");
   txn.stats.switches_updated = update_set.size();
   sm_->bump_generation();
 
@@ -637,20 +593,12 @@ void VSwitchFabric::txn_rollback(MigrationTxn& txn) {
   IBVS_REQUIRE(!txn.terminal(), "transaction already terminal");
   Fabric& fabric = sm_->fabric();
   auto& transport = sm_->transport();
-  const auto& routing = sm_->routing_result();
 
   // Inverse LFT deltas, newest first: undoing in reverse restores the
   // pre-transaction bytes exactly, drain writes included.
   if (!txn.applied.empty()) {
-    std::vector<routing::SwitchIdx> touched;
-    for (auto it = txn.applied.rbegin(); it != txn.applied.rend(); ++it) {
-      const routing::SwitchIdx s = routing.graph.dense(it->switch_node);
-      if (s == routing::kNoSwitch) continue;
-      sm_->update_master_entry(s, it->lid, it->old_port);
-      if (std::find(touched.begin(), touched.end(), s) == touched.end()) {
-        touched.push_back(s);
-      }
-    }
+    const auto touched =
+        sm::replay_lft_deltas(*sm_, txn.applied, /*forward=*/false);
     transport.begin_batch();
     for (routing::SwitchIdx s : touched) {
       txn.rollback_smps += sm_->push_dirty_blocks(s, txn.options.smp_routing);
@@ -673,24 +621,9 @@ void VSwitchFabric::txn_rollback(MigrationTxn& txn) {
     fabric.node(vf_src).alias_guid = txn.vguid;
     fabric.node(vf_dst).alias_guid =
         txn.is_swap ? txn.peer_vguid : kInvalidGuid;
-    transport.begin_batch();
-    transport.send_vf_lid_assign(src.pf,
-                                 static_cast<PortNum>(txn.src_vf_index),
-                                 txn.vm_lid, txn.options.smp_routing);
-    transport.send_vf_lid_assign(
-        dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-        txn.swapped_lid.valid() ? txn.swapped_lid : kInvalidLid,
-        txn.options.smp_routing);
-    transport.send_guid_info(src.pf, static_cast<PortNum>(txn.src_vf_index),
-                             txn.vguid, txn.options.smp_routing);
-    txn.rollback_smps += 3;
-    if (txn.is_swap) {
-      // The peer's vGUID moved too; restore it to the destination VF.
-      transport.send_guid_info(dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-                               txn.peer_vguid, txn.options.smp_routing);
-      txn.rollback_smps += 1;
-    }
-    txn.rollback_time_us += transport.end_batch();
+    txn.rollback_time_us += sm::send_source_addresses(
+        transport, *journal_.find(txn.id), txn.options.smp_routing,
+        txn.rollback_smps);
     txn.addresses_moved = false;
   }
   sm_->bump_generation();
@@ -783,12 +716,7 @@ void VSwitchFabric::adopt_subnet_manager(sm::SubnetManager& sm) {
   sm_ = &sm;
 }
 
-MigrationReport VSwitchFabric::migrate_vm(VmHandle handle,
-                                          std::size_t dst_hypervisor,
-                                          const MigrationOptions& options) {
-  MigrationTxn txn = begin_migration(handle, dst_hypervisor, options);
-  auto span = telemetry::Tracer::global().span(
-      "vswitch.migrate", {{"scheme", to_string(scheme_)}});
+MigrationReport VSwitchFabric::run_one_shot(MigrationTxn& txn) {
   try {
     txn_move_addresses(txn);
     txn_apply_lfts(txn);
@@ -799,9 +727,8 @@ MigrationReport VSwitchFabric::migrate_vm(VmHandle handle,
     throw;
   }
   txn_commit(txn);
-
   MigrationReport report;
-  report.vm = handle.id;
+  report.vm = txn.vm.id;
   report.src_hypervisor = txn.src_hypervisor;
   report.dst_hypervisor = txn.dst_hypervisor;
   report.vm_lid = txn.vm_lid;
@@ -809,6 +736,16 @@ MigrationReport VSwitchFabric::migrate_vm(VmHandle handle,
   report.intra_leaf = txn.intra_leaf;
   report.reconfig = txn.stats;
   report.minimal_set_size = txn.minimal_set_size;
+  return report;
+}
+
+MigrationReport VSwitchFabric::migrate_vm(VmHandle handle,
+                                          std::size_t dst_hypervisor,
+                                          const MigrationOptions& options) {
+  MigrationTxn txn = begin_migration(handle, dst_hypervisor, options);
+  auto span = telemetry::Tracer::global().span(
+      "vswitch.migrate", {{"scheme", to_string(scheme_)}});
+  MigrationReport report = run_one_shot(txn);
   span.set_attr("intra_leaf", report.intra_leaf ? "true" : "false");
   span.set_attr("switches_updated",
                 std::to_string(report.reconfig.switches_updated));
@@ -828,24 +765,7 @@ MigrationReport VSwitchFabric::swap_vms(VmHandle vm_a, VmHandle vm_b,
   MigrationTxn txn = begin_swap(vm_a, vm_b, options);
   auto span = telemetry::Tracer::global().span(
       "vswitch.swap", {{"scheme", to_string(scheme_)}});
-  try {
-    txn_move_addresses(txn);
-    txn_apply_lfts(txn);
-  } catch (...) {
-    txn_rollback(txn);
-    throw;
-  }
-  txn_commit(txn);
-
-  MigrationReport report;
-  report.vm = vm_a.id;
-  report.src_hypervisor = txn.src_hypervisor;
-  report.dst_hypervisor = txn.dst_hypervisor;
-  report.vm_lid = txn.vm_lid;
-  report.swapped_lid = txn.swapped_lid;
-  report.intra_leaf = txn.intra_leaf;
-  report.reconfig = txn.stats;
-  report.minimal_set_size = txn.minimal_set_size;
+  MigrationReport report = run_one_shot(txn);
   span.set_attr("switches_updated",
                 std::to_string(report.reconfig.switches_updated));
   span.set_attr("lft_smps", std::to_string(report.reconfig.lft_smps));

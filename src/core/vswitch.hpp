@@ -270,6 +270,14 @@ class VSwitchFabric {
   };
 
   Lid pf_lid(std::size_t hypervisor) const;
+  /// Builds the transaction and opens its journal record: `vm` moves to VF
+  /// `dst_vf_index` of `dst_hypervisor`, trading places with `peer` when
+  /// that is set (a destination swap). Sends nothing.
+  MigrationTxn open_txn(const Vm& vm, std::size_t dst_hypervisor,
+                        std::size_t dst_vf_index, Lid swapped_lid,
+                        const Vm* peer, const MigrationOptions& options);
+  /// migrate_vm / swap_vms body: runs the phases, rolls back on failure.
+  MigrationReport run_one_shot(MigrationTxn& txn);
   Vm& vm_mutable(VmHandle handle);
   /// Keep slots_ and the per-hypervisor free-lists in lockstep.
   void mark_slot_used(std::size_t hypervisor, std::size_t vf,

@@ -1,6 +1,7 @@
 #include "sm/reconfig_journal.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "routing/graph.hpp"
 #include "sm/topology_txn.hpp"
@@ -128,6 +129,14 @@ void repair_rolled_back_routes(
   }
 }
 
+/// Marks an in-flight record resolved by recovery and counts the decision.
+void settle(RecordCore& r, bool forward, RecoveryReport& report) {
+  auto& metrics = JournalMetrics::get();
+  r.state = forward ? RecordState::kCommitted : RecordState::kRolledBack;
+  ++(forward ? report.rolled_forward : report.rolled_back);
+  (forward ? metrics.replays_forward : metrics.replays_back).inc();
+}
+
 }  // namespace
 
 const char* to_string(RecordState state) {
@@ -156,17 +165,35 @@ const char* to_string(TopologyOp op) {
   return "?";
 }
 
-std::uint64_t ReconfigJournal::begin(MigrationRecord record) {
-  IBVS_REQUIRE(record.vm_lid.valid(), "journal record needs the VM LID");
-  IBVS_REQUIRE(record.src_vf != kInvalidNode && record.dst_vf != kInvalidNode,
-               "journal record needs both VF nodes");
+template <typename Record>
+std::uint64_t ReconfigJournal::begin(Record record) {
+  auto& metrics = JournalMetrics::get();
+  std::vector<Record>* store = nullptr;
+  if constexpr (std::is_same_v<Record, MigrationRecord>) {
+    IBVS_REQUIRE(record.vm_lid.valid(), "journal record needs the VM LID");
+    IBVS_REQUIRE(record.src_vf != kInvalidNode && record.dst_vf != kInvalidNode,
+                 "journal record needs both VF nodes");
+    metrics.begun.inc();
+    store = &records_;
+  } else {
+    const bool switch_op = record.op == TopologyOp::kAttachSwitch ||
+                           record.op == TopologyOp::kDetachSwitch;
+    IBVS_REQUIRE(!switch_op || record.subject != kInvalidNode,
+                 "switch delta needs its subject node");
+    IBVS_REQUIRE(!record.cables.empty(),
+                 "topology record needs its cable set");
+    metrics.topology_begun.inc();
+    store = &topology_records_;
+  }
   record.id = next_id_++;
   record.state = RecordState::kInFlight;
   record.reconciled = false;
-  JournalMetrics::get().begun.inc();
-  records_.push_back(std::move(record));
-  return records_.back().id;
+  store->push_back(std::move(record));
+  return store->back().id;
 }
+
+template std::uint64_t ReconfigJournal::begin(MigrationRecord);
+template std::uint64_t ReconfigJournal::begin(TopologyRecord);
 
 MigrationRecord* ReconfigJournal::find(std::uint64_t id) {
   return find_by_id(records_, id);
@@ -174,53 +201,6 @@ MigrationRecord* ReconfigJournal::find(std::uint64_t id) {
 
 const MigrationRecord* ReconfigJournal::find(std::uint64_t id) const {
   return find_by_id(records_, id);
-}
-
-void ReconfigJournal::record_addresses_moved(std::uint64_t id) {
-  MigrationRecord* r = find(id);
-  IBVS_REQUIRE(r != nullptr, "unknown journal record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->addresses_moved = true;
-}
-
-void ReconfigJournal::record_deltas(std::uint64_t id,
-                                    std::vector<LftDelta> deltas) {
-  MigrationRecord* r = find(id);
-  IBVS_REQUIRE(r != nullptr, "unknown journal record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->deltas = std::move(deltas);
-}
-
-void ReconfigJournal::commit(std::uint64_t id) {
-  MigrationRecord* r = find(id);
-  IBVS_REQUIRE(r != nullptr, "unknown journal record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kCommitted;
-}
-
-void ReconfigJournal::roll_back(std::uint64_t id) {
-  MigrationRecord* r = find(id);
-  IBVS_REQUIRE(r != nullptr, "unknown journal record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kRolledBack;
-}
-
-std::uint64_t ReconfigJournal::begin_topology(TopologyRecord record) {
-  const bool switch_op = record.op == TopologyOp::kAttachSwitch ||
-                         record.op == TopologyOp::kDetachSwitch;
-  IBVS_REQUIRE(!switch_op || record.subject != kInvalidNode,
-               "switch delta needs its subject node");
-  IBVS_REQUIRE(!record.cables.empty(), "topology record needs its cable set");
-  record.id = next_id_++;
-  record.state = RecordState::kInFlight;
-  record.reconciled = false;
-  JournalMetrics::get().topology_begun.inc();
-  topology_records_.push_back(std::move(record));
-  return topology_records_.back().id;
 }
 
 TopologyRecord* ReconfigJournal::find_topology(std::uint64_t id) {
@@ -231,67 +211,56 @@ const TopologyRecord* ReconfigJournal::find_topology(std::uint64_t id) const {
   return find_by_id(topology_records_, id);
 }
 
-void ReconfigJournal::record_topology_mutated(std::uint64_t id) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
+RecordCore& ReconfigJournal::in_flight_record(std::uint64_t id) {
+  RecordCore* r = find(id);
+  if (r == nullptr) r = find_topology(id);
+  IBVS_REQUIRE(r != nullptr, "unknown journal record");
   IBVS_REQUIRE(r->state == RecordState::kInFlight,
                "record is no longer in flight");
-  r->mutated = true;
+  return *r;
+}
+
+void ReconfigJournal::mark_started(std::uint64_t id) {
+  in_flight_record(id).started = true;
+}
+
+const std::vector<LftDelta>& ReconfigJournal::record_deltas(
+    std::uint64_t id, std::vector<LftDelta> deltas) {
+  RecordCore& r = in_flight_record(id);
+  r.deltas = std::move(deltas);
+  return r.deltas;
 }
 
 void ReconfigJournal::record_topology_lid(std::uint64_t id, Lid lid) {
   TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
+  IBVS_REQUIRE(r != nullptr && r->state == RecordState::kInFlight,
+               "no such in-flight topology record");
   r->subject_lid = lid;
 }
 
-void ReconfigJournal::record_topology_deltas(std::uint64_t id,
-                                             std::vector<LftDelta> deltas) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->deltas = std::move(deltas);
+void ReconfigJournal::commit(std::uint64_t id) {
+  in_flight_record(id).state = RecordState::kCommitted;
 }
 
-void ReconfigJournal::commit_topology(std::uint64_t id) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kCommitted;
-}
-
-void ReconfigJournal::roll_back_topology(std::uint64_t id) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kRolledBack;
+void ReconfigJournal::roll_back(std::uint64_t id) {
+  in_flight_record(id).state = RecordState::kRolledBack;
 }
 
 std::size_t ReconfigJournal::in_flight() const {
-  std::size_t n = 0;
-  for (const MigrationRecord& r : records_) {
-    if (r.state == RecordState::kInFlight) ++n;
-  }
-  for (const TopologyRecord& r : topology_records_) {
-    if (r.state == RecordState::kInFlight) ++n;
-  }
-  return n;
+  const auto count = [](const auto& store) {
+    return static_cast<std::size_t>(std::ranges::count(
+        store, RecordState::kInFlight, &RecordCore::state));
+  };
+  return count(records_) + count(topology_records_);
 }
 
 std::size_t ReconfigJournal::truncate_reconciled() {
-  const std::size_t before = records_.size() + topology_records_.size();
-  std::erase_if(records_, [](const MigrationRecord& r) {
-    return r.state != RecordState::kInFlight && r.reconciled;
-  });
-  std::erase_if(topology_records_, [](const TopologyRecord& r) {
-    return r.state != RecordState::kInFlight && r.reconciled;
-  });
-  return before - records_.size() - topology_records_.size();
+  const auto drop = [](auto& store) {
+    return static_cast<std::size_t>(std::erase_if(store, [](const auto& r) {
+      return r.state != RecordState::kInFlight && r.reconciled;
+    }));
+  };
+  return drop(records_) + drop(topology_records_);
 }
 
 RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
@@ -306,100 +275,26 @@ RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
   auto span = telemetry::Tracer::global().span(
       "journal.recover",
       {{"in_flight", std::to_string(report.in_flight)}});
-  Fabric& fabric = sm.fabric();
-  auto& transport = sm.transport();
 
   // An in-flight topology delta means the cabling the recovering SM swept
   // may already be mid-mutation: adopt the current structure first so dense
   // lookups, reachability and redistribution all see the fabric as cabled
   // right now. Append-stable dense indices make this safe for the
   // migration records below too.
-  bool topology_in_flight = false;
-  for (const TopologyRecord& r : topology_records_) {
-    if (r.state == RecordState::kInFlight) topology_in_flight = true;
-  }
+  const bool topology_in_flight = std::ranges::any_of(
+      topology_records_,
+      [](const TopologyRecord& r) { return r.state == RecordState::kInFlight; });
   if (topology_in_flight) sm.adopt_topology_change();
-  const auto& graph = sm.routing_result().graph;
 
   for (MigrationRecord& r : records_) {
-    if (r.state != RecordState::kInFlight) continue;
-    // Roll forward only when the write-ahead marks prove the migration got
-    // past the address move AND the destination can still be programmed;
-    // everything else is undone. Both branches are pure master-table and
-    // LidMap fixups — redistribution below turns them into SMPs.
-    const bool dst_reachable = transport.hops_to(r.dst_pf).has_value();
-    const bool forward =
-        r.addresses_moved && !r.deltas.empty() && dst_reachable;
-    if (forward) {
-      if (sm.lids().owner(r.vm_lid).node != r.dst_vf) {
-        sm.lids().move(fabric, r.vm_lid, r.dst_vf, 1);
-      }
-      if (r.swapped_lid.valid() &&
-          sm.lids().owner(r.swapped_lid).node != r.src_vf) {
-        sm.lids().move(fabric, r.swapped_lid, r.src_vf, 1);
-      }
-      fabric.node(r.dst_vf).alias_guid = r.vguid;
-      fabric.node(r.src_vf).alias_guid =
-          r.swap_pair ? r.peer_vguid : kInvalidGuid;
-      for (const LftDelta& d : r.deltas) {
-        const routing::SwitchIdx s = graph.dense(d.switch_node);
-        if (s == routing::kNoSwitch) continue;
-        sm.update_master_entry(s, d.lid, d.new_port);
-      }
-      r.state = RecordState::kCommitted;
-      ++report.rolled_forward;
-      JournalMetrics::get().replays_forward.inc();
-      IBVS_INFO("journal") << "record " << r.id << " (vm " << r.vm_id
-                           << ") rolled forward: " << r.deltas.size()
-                           << " deltas replayed";
-    } else {
-      for (auto it = r.deltas.rbegin(); it != r.deltas.rend(); ++it) {
-        const routing::SwitchIdx s = graph.dense(it->switch_node);
-        if (s == routing::kNoSwitch) continue;
-        sm.update_master_entry(s, it->lid, it->old_port);
-      }
-      if (r.addresses_moved) {
-        if (sm.lids().owner(r.vm_lid).node != r.src_vf) {
-          sm.lids().move(fabric, r.vm_lid, r.src_vf, 1);
-        }
-        if (r.swapped_lid.valid() &&
-            sm.lids().owner(r.swapped_lid).node != r.dst_vf) {
-          sm.lids().move(fabric, r.swapped_lid, r.dst_vf, 1);
-        }
-        fabric.node(r.src_vf).alias_guid = r.vguid;
-        fabric.node(r.dst_vf).alias_guid =
-            r.swap_pair ? r.peer_vguid : kInvalidGuid;
-        // Re-attach the VF addresses at the source: the reverse of §V-C
-        // step (a), priced on the batch clock like the forward path. A
-        // swap pair also restores the peer's vGUID at the destination.
-        transport.begin_batch();
-        transport.send_vf_lid_assign(r.src_pf, r.src_vf_slot, r.vm_lid,
-                                     routing);
-        transport.send_vf_lid_assign(
-            r.dst_pf, r.dst_vf_slot,
-            r.swapped_lid.valid() ? r.swapped_lid : kInvalidLid, routing);
-        transport.send_guid_info(r.src_pf, r.src_vf_slot, r.vguid, routing);
-        report.address_smps += 3;
-        if (r.swap_pair) {
-          transport.send_guid_info(r.dst_pf, r.dst_vf_slot, r.peer_vguid,
-                                   routing);
-          report.address_smps += 1;
-        }
-        report.address_time_us += transport.end_batch();
-      }
-      r.state = RecordState::kRolledBack;
-      ++report.rolled_back;
-      JournalMetrics::get().replays_back.inc();
-      IBVS_INFO("journal") << "record " << r.id << " (vm " << r.vm_id
-                           << ") rolled back: " << r.deltas.size()
-                           << " inverse deltas applied";
+    if (r.state == RecordState::kInFlight) {
+      recover_migration(sm, r, report, routing);
     }
   }
-
   std::vector<const TopologyRecord*> rolled_back_topology;
   for (TopologyRecord& r : topology_records_) {
     if (r.state != RecordState::kInFlight) continue;
-    recover_topology(sm, r, report, routing);
+    recover_topology(sm, r, report);
     if (r.state == RecordState::kRolledBack) {
       rolled_back_topology.push_back(&r);
     }
@@ -423,99 +318,178 @@ RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
   return report;
 }
 
-void ReconfigJournal::recover_topology(SubnetManager& sm, TopologyRecord& r,
-                                       RecoveryReport& report,
-                                       SmpRouting routing) {
+void ReconfigJournal::recover_migration(SubnetManager& sm, MigrationRecord& r,
+                                        RecoveryReport& report,
+                                        SmpRouting routing) {
   Fabric& fabric = sm.fabric();
   auto& transport = sm.transport();
-  const auto& graph = sm.routing_result().graph;
+  // Roll forward only when the write-ahead marks prove the migration got
+  // past the address move AND the destination can still be programmed;
+  // everything else is undone. Both directions are master-table and LidMap
+  // fixups — redistribution turns them into SMPs.
+  const bool forward = r.started && !r.deltas.empty() &&
+                       transport.hops_to(r.dst_pf).has_value();
+  if (r.started) {
+    // The VM's addresses end at `home`; the second LID (and, for a swap
+    // pair, the peer's vGUID) at the other VF.
+    const NodeId home = forward ? r.dst_vf : r.src_vf;
+    const NodeId other = forward ? r.src_vf : r.dst_vf;
+    if (sm.lids().owner(r.vm_lid).node != home) {
+      sm.lids().move(fabric, r.vm_lid, home, 1);
+    }
+    if (r.swapped_lid.valid() && sm.lids().owner(r.swapped_lid).node != other) {
+      sm.lids().move(fabric, r.swapped_lid, other, 1);
+    }
+    fabric.node(home).alias_guid = r.vguid;
+    fabric.node(other).alias_guid = r.swap_pair ? r.peer_vguid : kInvalidGuid;
+  }
+  replay_lft_deltas(sm, r.deltas, forward);
+  if (!forward && r.started) {
+    report.address_time_us +=
+        send_source_addresses(transport, r, routing, report.address_smps);
+  }
+  settle(r, forward, report);
+  IBVS_INFO("journal") << "record " << r.id << " (vm " << r.vm_id
+                       << ") rolled "
+                       << (forward ? "forward: " : "back: ") << r.deltas.size()
+                       << (forward ? " deltas replayed"
+                                   : " inverse deltas applied");
+}
+
+void ReconfigJournal::recover_topology(SubnetManager& sm, TopologyRecord& r,
+                                       RecoveryReport& report) {
+  Fabric& fabric = sm.fabric();
+  auto& transport = sm.transport();
   // Roll forward only when the write-ahead marks prove the mutation began
   // AND the re-route plan was recorded. An attach additionally needs the
   // new switch to still be programmable — a switch that died mid-attach is
   // rolled back out of the fabric, never committed half-routed.
-  bool forward = r.mutated && !r.deltas.empty();
+  bool forward = r.started && !r.deltas.empty();
   if (r.op == TopologyOp::kAttachSwitch) {
     forward = forward && transport.hops_to(r.subject).has_value();
   }
-  if (forward) {
-    for (const LftDelta& d : r.deltas) {
-      const routing::SwitchIdx s = graph.dense(d.switch_node);
-      if (s == routing::kNoSwitch) continue;
-      sm.update_master_entry(s, d.lid, d.new_port);
-    }
-    if (r.op == TopologyOp::kAttachSwitch && r.subject_lid.valid() &&
-        !sm.lids().assigned(r.subject_lid)) {
-      // The crash hit between the mutation and the LID assignment: finish
-      // the addressing. Directed-route PortInfo — the new switch's LID may
-      // not be installed anywhere yet.
-      sm.lids().assign(fabric, r.subject, 0, r.subject_lid);
-      transport.begin_batch();
-      transport.send_port_info_set(r.subject, 0, SmpRouting::kDirected);
-      report.address_smps += 1;
-      report.address_time_us += transport.end_batch();
-    }
-    if (r.op == TopologyOp::kDetachSwitch && r.subject_lid.valid() &&
-        sm.lids().assigned(r.subject_lid) &&
-        sm.lids().owner(r.subject_lid).node == r.subject) {
-      sm.lids().release(fabric, r.subject_lid);
-    }
-    r.state = RecordState::kCommitted;
-    r.reconciled = true;  // recovery is the only bookkeeper for these
-    ++report.rolled_forward;
-    JournalMetrics::get().replays_forward.inc();
-    IBVS_INFO("journal") << "topology record " << r.id << " ("
-                         << to_string(r.op) << ") rolled forward: "
-                         << r.deltas.size() << " deltas replayed";
-    return;
-  }
-  for (auto it = r.deltas.rbegin(); it != r.deltas.rend(); ++it) {
-    const routing::SwitchIdx s = graph.dense(it->switch_node);
-    if (s == routing::kNoSwitch) continue;
-    sm.update_master_entry(s, it->lid, it->old_port);
-  }
+  replay_lft_deltas(sm, r.deltas, forward);
   const bool adds_cables =
       r.op == TopologyOp::kAttachSwitch || r.op == TopologyOp::kAddLink;
-  if (adds_cables) {
-    // Unplug whatever the attach managed to cable before dying; tolerate
-    // cables the mutation never reached.
+  if (!forward) {
     for (const CableSpec& c : r.cables) {
-      const auto peer = fabric.peer(c.a, c.port_a);
-      if (peer && peer->first == c.b && peer->second == c.port_b) {
-        fabric.disconnect(c.a, c.port_a);
-      }
-    }
-    transport.invalidate_topology();
-    if (r.op == TopologyOp::kAttachSwitch && r.subject_lid.valid() &&
-        sm.lids().assigned(r.subject_lid) &&
-        sm.lids().owner(r.subject_lid).node == r.subject) {
-      sm.lids().release(fabric, r.subject_lid);
-    }
-  } else {
-    // Re-plug exactly what the detach severed; tolerate cables it never
-    // reached or that something else (a chaos cut) took down meanwhile.
-    for (const CableSpec& c : r.cables) {
-      if (!fabric.peer(c.a, c.port_a) && !fabric.peer(c.b, c.port_b)) {
+      if (adds_cables) {
+        // Unplug whatever the attach managed to cable before dying;
+        // tolerate cables the mutation never reached.
+        const auto peer = fabric.peer(c.a, c.port_a);
+        if (peer && peer->first == c.b && peer->second == c.port_b) {
+          fabric.disconnect(c.a, c.port_a);
+        }
+      } else if (!fabric.peer(c.a, c.port_a) && !fabric.peer(c.b, c.port_b)) {
+        // Re-plug exactly what the detach severed; tolerate cables it never
+        // reached or that something else (a chaos cut) took down meanwhile.
         fabric.connect(c.a, c.port_a, c.b, c.port_b);
       }
     }
     transport.invalidate_topology();
-    if (r.op == TopologyOp::kDetachSwitch && r.subject_lid.valid() &&
-        !sm.lids().assigned(r.subject_lid)) {
+  }
+  // The subject's LID belongs to it exactly when an attach rolls forward or
+  // a detach rolls back.
+  const bool switch_op = r.op == TopologyOp::kAttachSwitch ||
+                         r.op == TopologyOp::kDetachSwitch;
+  const bool keeps_lid = forward == (r.op == TopologyOp::kAttachSwitch);
+  if (switch_op && r.subject_lid.valid()) {
+    if (keeps_lid && !sm.lids().assigned(r.subject_lid)) {
+      // The crash hit between the mutation and the LID assignment (attach),
+      // or the detach had released it: address the subject again.
+      // Directed-route PortInfo — its LID may not be installed anywhere yet.
       sm.lids().assign(fabric, r.subject, 0, r.subject_lid);
       transport.begin_batch();
       transport.send_port_info_set(r.subject, 0, SmpRouting::kDirected);
       report.address_smps += 1;
       report.address_time_us += transport.end_batch();
+    } else if (!keeps_lid && sm.lids().assigned(r.subject_lid) &&
+               sm.lids().owner(r.subject_lid).node == r.subject) {
+      sm.lids().release(fabric, r.subject_lid);
     }
   }
-  r.state = RecordState::kRolledBack;
+  settle(r, forward, report);
   r.reconciled = true;  // recovery is the only bookkeeper for these
-  ++report.rolled_back;
-  JournalMetrics::get().replays_back.inc();
   IBVS_INFO("journal") << "topology record " << r.id << " ("
-                       << to_string(r.op) << ") rolled back: "
-                       << r.deltas.size() << " inverse deltas applied";
-  (void)routing;
+                       << to_string(r.op) << ") rolled "
+                       << (forward ? "forward: " : "back: ") << r.deltas.size()
+                       << (forward ? " deltas replayed"
+                                   : " inverse deltas applied");
+}
+
+double send_source_addresses(fabric::SmpTransport& transport,
+                             const MigrationRecord& r, SmpRouting routing,
+                             std::uint64_t& smps) {
+  transport.begin_batch();
+  transport.send_vf_lid_assign(r.src_pf, r.src_vf_slot, r.vm_lid, routing);
+  transport.send_vf_lid_assign(
+      r.dst_pf, r.dst_vf_slot,
+      r.swapped_lid.valid() ? r.swapped_lid : kInvalidLid, routing);
+  transport.send_guid_info(r.src_pf, r.src_vf_slot, r.vguid, routing);
+  smps += 3;
+  if (r.swap_pair) {
+    transport.send_guid_info(r.dst_pf, r.dst_vf_slot, r.peer_vguid, routing);
+    smps += 1;
+  }
+  return transport.end_batch();
+}
+
+LftApplyResult apply_lft_deltas(SubnetManager& sm,
+                                const std::vector<LftDelta>& planned,
+                                std::vector<LftDelta>& applied,
+                                SmpRouting routing, bool require_reachable,
+                                std::uint64_t smps_sent,
+                                std::uint64_t abort_after_smps) {
+  const auto& g = sm.routing_result().graph;
+  const auto& lfts = sm.routing_result().lfts;
+  auto& transport = sm.transport();
+  LftApplyResult result;
+  transport.begin_batch();
+  for (std::size_t i = 0; i < planned.size();) {
+    const NodeId sw = planned[i].switch_node;
+    const routing::SwitchIdx s = g.dense(sw);
+    IBVS_ENSURE(s != routing::kNoSwitch, "planned delta for unknown switch");
+    if (require_reachable && !transport.hops_to(sw)) {
+      result.status = LftApplyStatus::kUnreachable;
+      result.failed_switch = sw;
+      break;
+    }
+    for (; i < planned.size() && planned[i].switch_node == sw; ++i) {
+      const LftDelta& d = planned[i];
+      applied.push_back({sw, d.lid, lfts[s].get(d.lid), d.new_port});
+      sm.update_master_entry(s, d.lid, d.new_port);
+    }
+    result.smps += sm.push_dirty_blocks(s, routing);
+    ++result.switches;
+    if (smps_sent + result.smps >= abort_after_smps) {
+      result.status = LftApplyStatus::kSmpBudget;
+      break;
+    }
+  }
+  result.time_us = transport.end_batch();
+  return result;
+}
+
+std::vector<routing::SwitchIdx> replay_lft_deltas(
+    SubnetManager& sm, const std::vector<LftDelta>& deltas, bool forward) {
+  const auto& g = sm.routing_result().graph;
+  std::vector<routing::SwitchIdx> touched;
+  const auto write = [&](const LftDelta& d, PortNum port) {
+    const routing::SwitchIdx s = g.dense(d.switch_node);
+    if (s == routing::kNoSwitch) return;
+    sm.update_master_entry(s, d.lid, port);
+    if (std::find(touched.begin(), touched.end(), s) == touched.end()) {
+      touched.push_back(s);
+    }
+  };
+  if (forward) {
+    for (const LftDelta& d : deltas) write(d, d.new_port);
+  } else {
+    for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
+      write(*it, it->old_port);
+    }
+  }
+  return touched;
 }
 
 }  // namespace ibvs::sm

@@ -37,6 +37,30 @@ struct TopologyMetrics {
 
 constexpr std::uint8_t kUnreachableHops = 0xFF;
 
+/// Plans the skyline repair of `lid`'s column: the minimal update set that
+/// moves its routes onto the BFS repair column toward (t, delivery),
+/// leaving out `severed` (a detached subject cannot be programmed).
+void plan_column_repair(const SubnetManager& sm,
+                        const std::vector<std::uint8_t>& hops, Lid lid,
+                        routing::SwitchIdx t, PortNum delivery,
+                        routing::SwitchIdx severed,
+                        std::vector<LftDelta>& planned) {
+  const auto& routing = sm.routing_result();
+  const auto& g = routing.graph;
+  core::EntryDelta delta;
+  delta.old_entry.resize(g.num_switches());
+  for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
+    delta.old_entry[s] = routing.lfts[s].get(lid);
+  }
+  delta.new_entry = repair_route_column(g, hops, t, delivery);
+  for (const routing::SwitchIdx s :
+       core::minimal_update_set(g, delta, t, delivery)) {
+    if (s == severed) continue;
+    planned.push_back(
+        {g.switches[s], lid, delta.old_entry[s], delta.new_entry[s]});
+  }
+}
+
 }  // namespace
 
 /// First out-edge port of `s` on a shortest path toward `t` (adjacency
@@ -113,7 +137,7 @@ TopologyTxn TopologyTxnManager::open(TopologyRecord record) {
   txn.subject = record.subject;
   txn.subject_lid = record.subject_lid;
   txn.cables = record.cables;
-  txn.id = journal_.begin_topology(std::move(record));
+  txn.id = journal_.begin(std::move(record));
   TopologyMetrics::get().begun.inc();
   return txn;
 }
@@ -260,7 +284,7 @@ void TopologyTxnManager::txn_mutate(TopologyTxn& txn) {
   Fabric& fabric = sm_.fabric();
   // Write-ahead: the journal learns the mutation is starting before the
   // first plug/unplug, so a crash inside this loop still recovers.
-  journal_.record_topology_mutated(txn.id);
+  journal_.mark_started(txn.id);
   const bool adds = txn.op == TopologyOp::kAttachSwitch ||
                     txn.op == TopologyOp::kAddLink;
   for (const CableSpec& c : txn.cables) {
@@ -336,19 +360,7 @@ void TopologyTxnManager::plan_detach(TopologyTxn& txn,
     if (!att) continue;
     const routing::SwitchIdx t = g.dense(att->first);
     if (t == routing::kNoSwitch || t == me) continue;
-    core::EntryDelta delta;
-    delta.old_entry.resize(g.num_switches());
-    for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
-      delta.old_entry[s] = routing.lfts[s].get(lid);
-    }
-    delta.new_entry = repair_route_column(g, hops, t, att->second);
-    const std::vector<routing::SwitchIdx> repair =
-        core::minimal_update_set(g, delta, t, att->second);
-    for (const routing::SwitchIdx s : repair) {
-      if (s == me) continue;  // severed: cannot be programmed
-      planned.push_back(
-          {g.switches[s], lid, delta.old_entry[s], delta.new_entry[s]});
-    }
+    plan_column_repair(sm_, hops, lid, t, att->second, me, planned);
   }
 
   // Scrub the released management LID everywhere so a later reassignment of
@@ -386,59 +398,10 @@ void TopologyTxnManager::plan_remove_link(
     if (!att) continue;
     const routing::SwitchIdx t = g.dense(att->first);
     if (t == routing::kNoSwitch) continue;
-    core::EntryDelta delta;
-    delta.old_entry.resize(g.num_switches());
-    for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
-      delta.old_entry[s] = routing.lfts[s].get(lid);
-    }
-    delta.new_entry = repair_route_column(g, hops, t, att->second);
-    const std::vector<routing::SwitchIdx> repair =
-        core::minimal_update_set(g, delta, t, att->second);
-    for (const routing::SwitchIdx s : repair) {
-      planned.push_back(
-          {g.switches[s], lid, delta.old_entry[s], delta.new_entry[s]});
-    }
+    plan_column_repair(sm_, hops, lid, t, att->second, routing::kNoSwitch,
+                       planned);
     ++txn.stats.lids_rerouted;
   }
-}
-
-void TopologyTxnManager::apply_planned(TopologyTxn& txn,
-                                       const std::vector<LftDelta>& planned,
-                                       const TopologyApplyOptions& opts) {
-  const auto& routing = sm_.routing_result();
-  const auto& g = routing.graph;
-  auto& transport = sm_.transport();
-  const Fabric& fabric = sm_.fabric();
-  transport.begin_batch();
-  std::size_t i = 0;
-  while (i < planned.size()) {
-    const NodeId sw = planned[i].switch_node;
-    const routing::SwitchIdx s = g.dense(sw);
-    IBVS_ENSURE(s != routing::kNoSwitch, "planned delta for unknown switch");
-    if (!transport.hops_to(sw)) {
-      txn.stats.apply_time_us += transport.end_batch();
-      throw TopologyError(TopologyErrc::kRerouteFailed,
-                          fabric.node(sw).name +
-                              " unreachable during topology delta");
-    }
-    for (; i < planned.size() && planned[i].switch_node == sw; ++i) {
-      // Capture the value actually in place right before the write so
-      // rollback restores the exact prior bytes.
-      txn.applied.push_back({sw, planned[i].lid,
-                             routing.lfts[s].get(planned[i].lid),
-                             planned[i].new_port});
-      sm_.update_master_entry(s, planned[i].lid, planned[i].new_port);
-    }
-    txn.stats.lft_smps += sm_.push_dirty_blocks(s, opts.routing);
-    ++txn.stats.switches_updated;
-    if (txn.stats.lft_smps + txn.stats.addressing_smps >=
-        opts.abort_after_smps) {
-      txn.stats.apply_time_us += transport.end_batch();
-      throw TopologyError(TopologyErrc::kInterrupted,
-                          "topology delta batch cut short");
-    }
-  }
-  txn.stats.apply_time_us += transport.end_batch();
 }
 
 void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
@@ -533,9 +496,24 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
                               graph.dense(y.switch_node);
                      });
     // Write-ahead: the full planned delta set reaches the journal before
-    // the first LFT SMP goes out.
-    journal_.record_topology_deltas(txn.id, planned);
-    apply_planned(txn, planned, opts);
+    // the first LFT SMP goes out. The journal keeps an exact-size copy for
+    // the record's lifetime; `planned` carries growth slack.
+    const auto pass = apply_lft_deltas(
+        sm_, journal_.record_deltas(txn.id, planned), txn.applied,
+        opts.routing, /*require_reachable=*/true, txn.stats.addressing_smps,
+        opts.abort_after_smps);
+    txn.stats.lft_smps += pass.smps;
+    txn.stats.switches_updated += pass.switches;
+    txn.stats.apply_time_us += pass.time_us;
+    if (pass.status == LftApplyStatus::kUnreachable) {
+      throw TopologyError(TopologyErrc::kRerouteFailed,
+                          fabric.node(pass.failed_switch).name +
+                              " unreachable during topology delta");
+    }
+    if (pass.status == LftApplyStatus::kSmpBudget) {
+      throw TopologyError(TopologyErrc::kInterrupted,
+                          "topology delta batch cut short");
+    }
   }
 
   // Verify: diff-redistribution until a zero-send round proves every
@@ -555,7 +533,7 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
 void TopologyTxnManager::txn_commit(TopologyTxn& txn) {
   IBVS_REQUIRE(txn.state == TopologyTxnState::kRerouted,
                "reroute before committing");
-  journal_.commit_topology(txn.id);
+  journal_.commit(txn.id);
   if (auto* record = journal_.find_topology(txn.id)) {
     record->reconciled = true;
   }
@@ -575,23 +553,15 @@ void TopologyTxnManager::txn_rollback(TopologyTxn& txn) {
   IBVS_REQUIRE(!txn.terminal(), "transaction already terminal");
   Fabric& fabric = sm_.fabric();
   auto& transport = sm_.transport();
-  const auto& routing = sm_.routing_result();
-  const auto& g = routing.graph;
+  const auto& g = sm_.routing_result().graph;
   const routing::SwitchIdx me =
       txn.subject != kInvalidNode ? g.dense(txn.subject) : routing::kNoSwitch;
 
   // Inverse deltas newest-first: undoing in reverse restores the exact
   // pre-transaction master bytes.
   if (!txn.applied.empty()) {
-    std::vector<routing::SwitchIdx> touched;
-    for (auto it = txn.applied.rbegin(); it != txn.applied.rend(); ++it) {
-      const routing::SwitchIdx s = g.dense(it->switch_node);
-      if (s == routing::kNoSwitch) continue;
-      sm_.update_master_entry(s, it->lid, it->old_port);
-      if (std::find(touched.begin(), touched.end(), s) == touched.end()) {
-        touched.push_back(s);
-      }
-    }
+    const auto touched =
+        replay_lft_deltas(sm_, txn.applied, /*forward=*/false);
     transport.begin_batch();
     for (const routing::SwitchIdx s : touched) {
       // The attach subject is about to be unplugged again: restore its
@@ -646,7 +616,7 @@ void TopologyTxnManager::txn_rollback(TopologyTxn& txn) {
   txn.rollback_time_us += settle.time_us;
   sm_.bump_generation();
 
-  journal_.roll_back_topology(txn.id);
+  journal_.roll_back(txn.id);
   if (auto* record = journal_.find_topology(txn.id)) {
     record->reconciled = true;
   }

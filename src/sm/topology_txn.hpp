@@ -178,8 +178,6 @@ class TopologyTxnManager {
   void plan_detach(TopologyTxn& txn, std::vector<LftDelta>& planned) const;
   void plan_remove_link(TopologyTxn& txn,
                         std::vector<LftDelta>& planned) const;
-  void apply_planned(TopologyTxn& txn, const std::vector<LftDelta>& planned,
-                     const TopologyApplyOptions& opts);
 
   SubnetManager& sm_;
   ReconfigJournal& journal_;

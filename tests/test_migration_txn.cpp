@@ -68,10 +68,10 @@ TEST(ReconfigJournal, RecordLifecycleAndTruncation) {
   EXPECT_EQ(journal.in_flight(), 1u);
   ASSERT_NE(journal.find(id), nullptr);
   EXPECT_EQ(journal.find(id)->state, sm::RecordState::kInFlight);
-  EXPECT_FALSE(journal.find(id)->addresses_moved);
+  EXPECT_FALSE(journal.find(id)->started);
 
-  journal.record_addresses_moved(id);
-  EXPECT_TRUE(journal.find(id)->addresses_moved);
+  journal.mark_started(id);
+  EXPECT_TRUE(journal.find(id)->started);
 
   journal.record_deltas(
       id, {{.switch_node = 3, .lid = Lid{5}, .old_port = 1, .new_port = 2}});

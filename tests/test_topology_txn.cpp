@@ -83,19 +83,19 @@ TEST(TopologyRecord, LifecycleAndTruncation) {
   record.subject = 5;
   record.subject_lid = Lid{9};
   record.cables = {{5, 1, 6, 2}};
-  const auto id = journal.begin_topology(std::move(record));
+  const auto id = journal.begin(std::move(record));
   EXPECT_EQ(journal.in_flight(), 1u);
   ASSERT_NE(journal.find_topology(id), nullptr);
   EXPECT_EQ(journal.find_topology(id)->state, sm::RecordState::kInFlight);
-  EXPECT_FALSE(journal.find_topology(id)->mutated);
+  EXPECT_FALSE(journal.find_topology(id)->started);
 
-  journal.record_topology_mutated(id);
-  EXPECT_TRUE(journal.find_topology(id)->mutated);
-  journal.record_topology_deltas(
+  journal.mark_started(id);
+  EXPECT_TRUE(journal.find_topology(id)->started);
+  journal.record_deltas(
       id, {{.switch_node = 6, .lid = Lid{9}, .old_port = 2, .new_port = 0}});
   ASSERT_EQ(journal.find_topology(id)->deltas.size(), 1u);
 
-  journal.commit_topology(id);
+  journal.commit(id);
   EXPECT_EQ(journal.in_flight(), 0u);
   EXPECT_EQ(journal.find_topology(id)->state, sm::RecordState::kCommitted);
 
@@ -116,7 +116,7 @@ TEST(JournalLookup, FindsSurvivorsAcrossKindsAndTruncation) {
       sm::TopologyRecord r;
       r.op = sm::TopologyOp::kAddLink;
       r.cables = {{5, static_cast<PortNum>(n), 6, 1}};
-      topology_ids.push_back(journal.begin_topology(std::move(r)));
+      topology_ids.push_back(journal.begin(std::move(r)));
     } else {
       sm::MigrationRecord r;
       r.vm_id = n;
@@ -147,7 +147,7 @@ TEST(JournalLookup, FindsSurvivorsAcrossKindsAndTruncation) {
   for (std::size_t i = 0; i < topology_ids.size(); ++i) {
     const auto id = topology_ids[i];
     if (i % 2 == 1) {
-      journal.roll_back_topology(id);
+      journal.roll_back(id);
       journal.find_topology(id)->reconciled = true;
       erased.push_back(id);
     } else {

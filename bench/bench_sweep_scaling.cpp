@@ -1,6 +1,8 @@
-// Sweep fast-path scaling: how the parallel LFT diff, the checker's
-// parallel reachability scan, and the full distribution pass scale with the
-// global thread pool size.
+// Sweep fast-path scaling: how the LFT diff, the checker's reachability
+// scan, and the full distribution pass scale with the global thread pool
+// size. Each phase fans out only above ThreadPool::kParallelMinWork
+// inner-loop steps, so on the 324- and 648-node trees all three run
+// serially at every pool size and only the 5832-node tree fans out.
 //
 // This is the repo's perf-regression baseline. For each paper fat-tree and
 // each thread count it measures, in wall-clock microseconds:
@@ -10,16 +12,17 @@
 //                       (send accounting is serial, so this is the
 //                       Amdahl-limited end),
 //   rediff_us           no-op re-distribution: installed == master, the
-//                       pass is a pure block-diff scan — the memcmp-bound
-//                       phase the thread pool parallelizes,
+//                       pass is a pure block-diff scan (one word compare
+//                       per eight entries, fanned out per switch range),
 //   checker_us          FabricChecker reachability sweep, 16 sampled
 //                       sources tracing every active LID.
 //
 // `--json-out <file>` writes the rows as JSON (schema below); CI's
-// perf-smoke job diffs that against the checked-in BENCH_sweep.json and
-// fails on gross regressions. `--threads <n>` restricts the sweep to one
-// thread count; default sweeps 1/2/4/8. IBVS_FIG7_LARGE=1 adds the
-// 5832-node tree (the acceptance topology for the >= 3x rediff speedup).
+// perf-smoke job (with IBVS_FIG7_LARGE=1) diffs that against the
+// checked-in BENCH_sweep.json and fails on gross regressions.
+// `--threads <n>` restricts the sweep to one thread count; default sweeps
+// 1/2/4/8. IBVS_FIG7_LARGE=1 adds the 5832-node tree, the one whose phases
+// fan out.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -85,7 +88,7 @@ Row measure(Subnet& net, const std::string& topo, std::size_t threads) {
     benchmark::DoNotOptimize(report.smps);
   }
 
-  // Warm re-diff: nothing differs, the pass is the parallel block scan.
+  // Warm re-diff: nothing differs, the pass is the block scan.
   // Min of several runs — the steady-state sweep cost, free of first-touch
   // and scheduler noise.
   constexpr int kRediffRuns = 5;
@@ -149,7 +152,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
 std::vector<Row> run_sweep(const std::vector<std::size_t>& thread_counts) {
   std::vector<Row> rows;
   std::printf("\nSweep fast-path scaling (wall-clock us; rediff = pure "
-              "parallel diff phase)\n");
+              "block-diff phase)\n");
   std::printf("%-34s %8s %8s %16s %12s %12s %10s\n", "topology", "switches",
               "threads", "distribute_full", "rediff", "checker",
               "rediff-x");
@@ -172,11 +175,15 @@ std::vector<Row> run_sweep(const std::vector<std::size_t>& thread_counts) {
     }
   }
   bench::rule(106);
-  std::printf("Shape to reproduce: rediff and checker scale with threads "
-              "(the diff/trace phases are\nparallel); distribute_full "
-              "flattens early — its send accounting is serial by design\n"
-              "(the SMP stream must stay byte-identical to a "
-              "single-threaded sweep).\n\n");
+  std::printf("Shape to reproduce: the diff and checker phases fan out "
+              "only above %zu inner-loop steps\n(switches x LFT words; "
+              "sources x nodes x target words), so the 324- and 648-node "
+              "rows\nrun serially and stay flat across threads, and only the "
+              "5832-node rediff and checker\nscale. distribute_full flattens "
+              "early — its send accounting is serial by design\n(the SMP "
+              "stream must stay byte-identical to a single-threaded "
+              "sweep).\n\n",
+              ThreadPool::kParallelMinWork);
   return rows;
 }
 

@@ -142,8 +142,8 @@ class MigrationPlanner {
   MigrationPlanner(CloudOrchestrator& cloud, Options options);
 
   /// Plans from live fabric state. Deterministic: same state + goal ->
-  /// byte-identical plan at any thread count (per-move prediction runs on
-  /// ThreadPool::global, but every result lands by move index).
+  /// byte-identical plan at any thread count (planning runs serially on
+  /// the calling thread).
   [[nodiscard]] MigrationPlan plan(const FleetGoal& goal) const;
 
   /// The batch-membership predicate: true when the two moves must NOT run
@@ -249,12 +249,12 @@ class PlanExecutor {
   explicit PlanExecutor(CloudOrchestrator& cloud);
 
   /// Runs the plan batch by batch. Members are revalidated against live
-  /// fabric state in parallel (ThreadPool::global), then their
-  /// transactions execute in index order — conflict-freedom makes any
-  /// interleaving equivalent, and index order keeps the SMP stream
-  /// byte-identical at every thread count. One member's rollback never
-  /// aborts its batch; a pass that left rollbacks/failures behind
-  /// re-plans via `planner` up to policy.max_replans times.
+  /// fabric state, then their transactions execute in index order —
+  /// conflict-freedom makes any interleaving equivalent, and index order
+  /// keeps the SMP stream byte-identical at every thread count. One
+  /// member's rollback never aborts its batch; a pass that left
+  /// rollbacks/failures behind re-plans via `planner` up to
+  /// policy.max_replans times.
   FleetExecution execute(const MigrationPlanner& planner,
                          const MigrationPlan& plan,
                          const core::MigrationOptions& options = {},

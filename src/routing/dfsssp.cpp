@@ -146,36 +146,40 @@ class DfssspEngine final : public RoutingEngine {
     for (std::size_t wave_begin = 0; wave_begin < t_count;
          wave_begin += kWave) {
       const std::size_t wave_end = std::min(t_count, wave_begin + kWave);
-      ThreadPool::global().parallel_for(
-          wave_begin, wave_end, [&](std::size_t t) {
-            auto& deps = wave[t - wave_begin];
-            deps.clear();
-            const auto& target = g.targets[t];
-            // Switch LIDs receive only management traffic, which rides the
-            // dedicated VL15 — they do not participate in the data-VL CDG.
-            // (Their routes may legitimately turn down-then-up, e.g. core ->
-            // spine -> core, and would otherwise poison the layering.)
-            if (target.port == 0) return;
-            // Dependencies of this destination's route DAG: for every
-            // switch v whose egress toward the target is a switch link,
-            // every used ingress channel (u -> v) depends on the egress.
-            for (std::size_t v = 0; v < s_count; ++v) {
-              const PortNum out_port = result.lfts[v].get(target.lid);
-              if (out_port == kDropPort) continue;
-              const std::uint32_t e_out =
-                  g.edge_of(static_cast<SwitchIdx>(v), out_port);
-              if (e_out == SwitchGraph::kNoEdge) continue;  // local delivery
-              const auto [first, last] = g.out(static_cast<SwitchIdx>(v));
-              for (const auto* e = first; e != last; ++e) {
-                const SwitchIdx u = e->to;
-                const PortNum u_out = result.lfts[u].get(target.lid);
-                const std::uint32_t eid =
-                    static_cast<std::uint32_t>(e - g.edges.data());
-                // u's egress is the reverse of (v -> u) iff u forwards
-                // into v.
-                const std::uint32_t e_in = g.reverse_edge[eid];
-                if (u_out == g.edges[e_in].out_port) {
-                  deps.emplace_back(e_in, e_out);
+      // Each destination scans every switch's out-edges.
+      ThreadPool::global().parallel_for_shards(
+          wave_end - wave_begin, (wave_end - wave_begin) * g.num_edges(),
+          [&](std::size_t, std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+              auto& deps = wave[i];
+              deps.clear();
+              const auto& target = g.targets[wave_begin + i];
+              // Switch LIDs receive only management traffic, which rides the
+              // dedicated VL15 — they do not participate in the data-VL CDG.
+              // (Their routes may legitimately turn down-then-up, e.g. core ->
+              // spine -> core, and would otherwise poison the layering.)
+              if (target.port == 0) continue;
+              // Dependencies of this destination's route DAG: for every
+              // switch v whose egress toward the target is a switch link,
+              // every used ingress channel (u -> v) depends on the egress.
+              for (std::size_t v = 0; v < s_count; ++v) {
+                const PortNum out_port = result.lfts[v].get(target.lid);
+                if (out_port == kDropPort) continue;
+                const std::uint32_t e_out =
+                    g.edge_of(static_cast<SwitchIdx>(v), out_port);
+                if (e_out == SwitchGraph::kNoEdge) continue;  // local delivery
+                const auto [first, last] = g.out(static_cast<SwitchIdx>(v));
+                for (const auto* e = first; e != last; ++e) {
+                  const SwitchIdx u = e->to;
+                  const PortNum u_out = result.lfts[u].get(target.lid);
+                  const std::uint32_t eid =
+                      static_cast<std::uint32_t>(e - g.edges.data());
+                  // u's egress is the reverse of (v -> u) iff u forwards
+                  // into v.
+                  const std::uint32_t e_in = g.reverse_edge[eid];
+                  if (u_out == g.edges[e_in].out_port) {
+                    deps.emplace_back(e_in, e_out);
+                  }
                 }
               }
             }

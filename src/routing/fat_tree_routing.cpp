@@ -143,37 +143,21 @@ class FatTreeEngine final : public RoutingEngine {
       members[cursor[column_of(t)]++] = Member{t.lid.value(), t.port};
     }
 
-    // Both phases fan out one task per worker; worker k takes the items
-    // k, k + shards, k + 2·shards, ... so that cheap and expensive items
-    // (upward vs full-tree columns; leaf vs core rows) spread evenly. Below
-    // kParallelMinWork units (edge checks or table entries) a phase runs
-    // serially: on a 4-core box both phases of the 324- and 648-node trees
-    // (at most ~0.2 M units, 0.02-0.13 ms) lose to serial at every pool
-    // size, while the 5832-node tree (~30 M units per phase) gains.
-    constexpr std::size_t kParallelMinWork = std::size_t{1} << 21;
-    const auto fan_out = [](std::size_t items, std::size_t work,
-                            const auto& body) {
-      if (work < kParallelMinWork) {
-        body(0, 1);
-        return;
-      }
-      ThreadPool& pool = ThreadPool::global();
-      const std::size_t shards = pool.shard_count(items);
-      pool.parallel_for_shards(
-          0, items, [&](std::size_t shard, std::size_t, std::size_t) {
-            body(shard, shards);
-          });
-    };
+    // Both phases fan out over contiguous item ranges, which the threads
+    // claim a few at a time, so cheap and expensive items (upward vs
+    // full-tree columns; leaf vs core rows) even out. Work is counted in
+    // edge checks (Phase 1) and table entries (Phase 2).
 
     // --- Phase 1: per root, its down ports. ---
     // down[c * s_count + s] = down port at switch s toward root c, or
     // kDropPort where the up-rule applies. The root's own entry only marks
     // it reached; Phase 2 delivers there on each LID's own port.
     std::vector<PortNum> down(c_count * s_count, kDropPort);
-    fan_out(c_count, c_count * g.num_edges(),
-            [&](std::size_t k, std::size_t stride) {
+    ThreadPool::global().parallel_for_shards(
+        c_count, c_count * g.num_edges(),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
           std::vector<SwitchIdx> frontier;
-          for (std::size_t c = k; c < c_count; c += stride) {
+          for (std::size_t c = begin; c < end; ++c) {
             const Root root = roots[c];
             PortNum* col = down.data() + c * s_count;
             col[root.sw] = 0;
@@ -215,12 +199,13 @@ class FatTreeEngine final : public RoutingEngine {
     result.lfts.assign(s_count, Lft(lids.top_lid()));
     const std::size_t entries =
         s_count == 0 ? 0 : result.lfts.front().capacity();
-    fan_out(s_count, s_count * t_count,
-            [&](std::size_t k, std::size_t stride) {
+    ThreadPool::global().parallel_for_shards(
+        s_count, s_count * t_count,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
           std::vector<PortNum> up_row(entries, kDropPort);
           const std::vector<PortNum>* up_row_ports = nullptr;
           std::vector<PortNum> row(entries);
-          for (std::size_t s = k; s < s_count; s += stride) {
+          for (std::size_t s = begin; s < end; ++s) {
             const auto& ups = up_ports[s];
             if (up_row_ports == nullptr || *up_row_ports != ups) {
               std::fill(up_row.begin(), up_row.end(), kDropPort);

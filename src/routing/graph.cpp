@@ -113,8 +113,10 @@ std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph) {
   std::vector<std::uint8_t> hops(s_count * s_count, 0xFF);
   if (s_count == 0) return hops;
 
-  ThreadPool::global().parallel_for_chunks(
-      0, s_count, [&](std::size_t begin, std::size_t end) {
+  // One BFS per source switch, each over every edge.
+  ThreadPool::global().parallel_for_shards(
+      s_count, s_count * graph.num_edges(),
+      [&](std::size_t, std::size_t begin, std::size_t end) {
         std::vector<SwitchIdx> queue(s_count);
         for (std::size_t src = begin; src < end; ++src) {
           std::uint8_t* row = hops.data() + src * s_count;

@@ -90,7 +90,8 @@ struct SwitchGraph {
 
 /// Hop-count matrix between switches (row-major, S*S, 0xFF = unreachable).
 /// Used by Min-Hop routing, topology-transaction route repair and journal
-/// recovery; computed by parallel BFS.
+/// recovery; one BFS per switch, fanned out on fabrics above the pool's
+/// work cutoff (serial on the 324- and 648-node trees).
 std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph);
 
 }  // namespace ibvs::routing

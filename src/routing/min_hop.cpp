@@ -32,8 +32,10 @@ class MinHopEngine final : public RoutingEngine {
     const auto hops = switch_hop_matrix(g);
 
     result.lfts.assign(s_count, Lft(lids.top_lid()));
-    ThreadPool::global().parallel_for_chunks(
-        0, s_count, [&](std::size_t begin, std::size_t end) {
+    // Every switch weighs each target over all of its out-edges.
+    ThreadPool::global().parallel_for_shards(
+        s_count, g.targets.size() * g.num_edges(),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
           std::vector<std::uint32_t> port_load(256, 0);
           for (std::size_t s = begin; s < end; ++s) {
             std::fill(port_load.begin(), port_load.end(), 0);

@@ -108,10 +108,12 @@ class UpDownEngine final : public RoutingEngine {
       return to < from;
     };
 
-    // Phase 1 (parallel over targets): next-hop port per (target, switch).
+    // Phase 1 (parallel over targets): next-hop port per (target, switch),
+    // from BFS passes over the edges.
     std::vector<PortNum> route(t_count * s_count, kDropPort);
-    ThreadPool::global().parallel_for_chunks(
-        0, t_count, [&](std::size_t begin, std::size_t end) {
+    ThreadPool::global().parallel_for_shards(
+        t_count, t_count * g.num_edges(),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
           std::vector<std::uint16_t> d_down(s_count);
           std::vector<std::uint16_t> d_any(s_count);
           std::vector<std::vector<SwitchIdx>> buckets;
@@ -195,8 +197,9 @@ class UpDownEngine final : public RoutingEngine {
         });
 
     // Phase 2: assemble LFTs per switch.
-    ThreadPool::global().parallel_for_chunks(
-        0, s_count, [&](std::size_t begin, std::size_t end) {
+    ThreadPool::global().parallel_for_shards(
+        s_count, s_count * t_count,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
           for (std::size_t s = begin; s < end; ++s) {
             Lft& lft = result.lfts[s];
             for (std::size_t ti = 0; ti < t_count; ++ti) {

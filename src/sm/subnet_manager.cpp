@@ -228,14 +228,15 @@ void SubnetManager::collect_lft_diffs(
     }
   }
   // The per-switch block scans are independent pure reads of the master and
-  // installed tables, so they fan out over the pool into per-switch send
-  // lists — one contiguous switch range per worker (not oversubscribed
-  // chunks: the word-at-a-time diff makes each switch so cheap that task
-  // hand-off would dominate). The caller's serial, index-ordered send loop
-  // then reproduces the exact SMP stream of a single-threaded sweep.
+  // installed tables, one 64-bit compare per eight entries, so on big
+  // fabrics they fan out over the pool into per-switch send lists. The
+  // caller's serial, index-ordered send loop then reproduces the exact SMP
+  // stream of a single-threaded sweep.
   to_send.assign(n, {});
+  const std::size_t words = n == 0 ? 0 : routing_.lfts.front().capacity() / 8;
   ThreadPool::global().parallel_for_shards(
-      0, n, [&](std::size_t, std::size_t chunk_begin, std::size_t chunk_end) {
+      n, n * words,
+      [&](std::size_t, std::size_t chunk_begin, std::size_t chunk_end) {
         for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
           if (!reachable[s]) continue;
           const Lft& master = routing_.lfts[s];

@@ -100,8 +100,9 @@ class SubnetManager {
   /// Sends every master LFT block that differs from the installed one.
   /// Switches with no path from the SM are skipped (like reconverge():
   /// they cannot be programmed, so their blocks are neither counted as
-  /// sent nor as skipped). Block diffing runs on the global thread pool;
-  /// the SMP send order is that of a single-threaded sweep.
+  /// sent nor as skipped). Block diffing fans out on the global thread
+  /// pool on big fabrics; the SMP send order is that of a single-threaded
+  /// sweep.
   DistributionReport distribute_lfts(
       SmpRouting routing = SmpRouting::kDirected);
 
@@ -204,12 +205,13 @@ class SubnetManager {
   void clear_degraded_ports() noexcept { degraded_ports_.clear(); }
 
  private:
-  /// Parallel diff phase shared by distribute_lfts() and reconverge():
-  /// fills `reachable[s]` (can the SM currently program switch `s`?) and
+  /// Diff phase shared by distribute_lfts() and reconverge(): fills
+  /// `reachable[s]` (can the SM currently program switch `s`?) and
   /// `to_send[s]` (master block indices whose installed copy differs) for
-  /// every switch of the routing graph. Block scans run on the global
-  /// thread pool; callers keep their send loops serial and index-ordered so
-  /// the SMP stream is byte-identical to a single-threaded sweep.
+  /// every switch of the routing graph. Block scans fan out on the global
+  /// thread pool above its work cutoff; callers keep their send loops
+  /// serial and index-ordered so the SMP stream is byte-identical to a
+  /// single-threaded sweep.
   void collect_lft_diffs(std::vector<std::uint8_t>& reachable,
                          std::vector<std::vector<std::uint32_t>>& to_send);
 

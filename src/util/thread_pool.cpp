@@ -1,19 +1,27 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <utility>
 
 namespace ibvs {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+namespace {
+
+/// Set while this thread runs a shard: a fan-out issued from inside one
+/// runs inline instead of waiting on workers that may all be busy.
+thread_local bool t_in_shard = false;
+
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t threads)
+    : size_(threads != 0 ? threads
+                         : std::max<std::size_t>(
+                               1, std::thread::hardware_concurrency())) {
+  workers_.reserve(size_ - 1);
+  for (std::size_t i = 1; i < size_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -27,133 +35,65 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push(std::move(task));
-  }
-  wake_.notify_one();
-}
-
 void ThreadPool::worker_loop() {
+  t_in_shard = true;  // a worker runs nothing but shards
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (stopping_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
+    wake_.wait(lock, [this] { return stopping_ || next_ < shards_; });
+    if (stopping_) return;
+    run_shards(lock);
   }
 }
 
-void ThreadPool::parallel_for_chunks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const std::size_t chunks = std::min(total, size() * 4);
-  if (chunks <= 1) {
-    body(begin, end);
-    return;
-  }
-  const std::size_t chunk_size = (total + chunks - 1) / chunks;
-
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t pending = 0;
-  std::exception_ptr first_error;
-
-  for (std::size_t chunk_begin = begin; chunk_begin < end;
-       chunk_begin += chunk_size) {
-    const std::size_t chunk_end = std::min(end, chunk_begin + chunk_size);
-    {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      ++pending;
-    }
-    submit([&, chunk_begin, chunk_end] {
-      try {
-        body(chunk_begin, chunk_end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      {
-        // Notify under the lock: the waiter owns done_cv on its stack, so
-        // it must not be able to wake, see pending == 0, and destroy the
-        // cv while this thread is still inside notify_one.
-        std::lock_guard<std::mutex> lock(done_mutex);
-        --pending;
-        done_cv.notify_one();
-      }
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return pending == 0; });
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::parallel_for_shards(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const std::size_t shards = shard_count(total);
-  if (shards <= 1) {
-    body(0, begin, end);
-    return;
-  }
-  // Balanced split: the first `total % shards` shards get one extra item,
+void ThreadPool::run_shards(std::unique_lock<std::mutex>& lock) {
+  // Balanced split: the first `items_ % shards_` shards get one extra item,
   // so shard sizes differ by at most one.
-  const std::size_t base = total / shards;
-  const std::size_t extra = total % shards;
-
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t pending = 0;
-  std::exception_ptr first_error;
-
-  std::size_t at = begin;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    const std::size_t shard_begin = at;
-    const std::size_t shard_end = shard_begin + base + (shard < extra ? 1 : 0);
-    at = shard_end;
-    {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      ++pending;
+  const std::size_t base = items_ / shards_;
+  const std::size_t extra = items_ % shards_;
+  const ShardBody& body = *body_;
+  while (next_ < shards_) {
+    const std::size_t shard = next_++;
+    const std::size_t begin = shard * base + std::min(shard, extra);
+    const std::size_t end = begin + base + (shard < extra ? 1 : 0);
+    lock.unlock();
+    std::exception_ptr error;
+    const bool was_in_shard = std::exchange(t_in_shard, true);
+    try {
+      body(shard, begin, end);
+    } catch (...) {
+      error = std::current_exception();
     }
-    submit([&, shard, shard_begin, shard_end] {
-      try {
-        body(shard, shard_begin, shard_end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      {
-        // Notify under the lock (see parallel_for_chunks).
-        std::lock_guard<std::mutex> lock(done_mutex);
-        --pending;
-        done_cv.notify_one();
-      }
-    });
+    t_in_shard = was_in_shard;
+    lock.lock();
+    if (error && !error_) error_ = error;
+    if (++finished_ == shards_) done_.notify_one();
   }
-
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return pending == 0; });
-  if (first_error) std::rethrow_exception(first_error);
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
-  parallel_for_chunks(begin, end,
-                      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-                        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-                          body(i);
-                        }
-                      });
+void ThreadPool::parallel_for_shards(std::size_t items, std::size_t work,
+                                     const ShardBody& body) {
+  if (items == 0) return;
+  const std::size_t shards = shard_count(items);
+  std::unique_lock<std::mutex> caller(caller_mutex_, std::defer_lock);
+  if (shards <= 1 || work < kParallelMinWork || t_in_shard ||
+      !caller.try_lock()) {
+    body(0, 0, items);
+    return;
+  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  body_ = &body;
+  items_ = items;
+  shards_ = shards;
+  next_ = 0;
+  finished_ = 0;
+  wake_.notify_all();
+  run_shards(lock);
+  // Every shard is claimed now (next_ == shards_), so a worker that wakes
+  // late finds nothing to run and the job needs no closing.
+  done_.wait(lock, [&] { return finished_ == shards_; });
+  const std::exception_ptr error = std::exchange(error_, nullptr);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 namespace {
@@ -187,9 +127,8 @@ ThreadPool& ThreadPool::global() {
   GlobalPool& g = global_slot();
   std::lock_guard<std::mutex> lock(g.mutex);
   if (!g.pool) {
-    std::size_t threads = g.override_threads;
-    if (threads == 0) threads = env_threads();
-    g.pool = std::make_unique<ThreadPool>(threads);
+    g.pool = std::make_unique<ThreadPool>(
+        g.override_threads != 0 ? g.override_threads : env_threads());
   }
   return *g.pool;
 }
@@ -205,12 +144,11 @@ std::size_t ThreadPool::global_thread_count() {
   GlobalPool& g = global_slot();
   std::lock_guard<std::mutex> lock(g.mutex);
   if (g.pool) return g.pool->size();
-  std::size_t threads = g.override_threads;
-  if (threads == 0) threads = env_threads();
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  return threads;
+  const std::size_t threads =
+      g.override_threads != 0 ? g.override_threads : env_threads();
+  return threads != 0
+             ? threads
+             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 }  // namespace ibvs

@@ -85,6 +85,18 @@ struct VirtualSubnet {
     return s;
   }
 
+  /// A paper fat-tree with a hypervisor on every host slot but the last,
+  /// which holds the SM.
+  static VirtualSubnet paper_tree(
+      topology::PaperFatTree which, core::LidScheme scheme,
+      std::size_t vfs = 4,
+      routing::EngineKind engine = routing::EngineKind::kFatTree) {
+    VirtualSubnet s;
+    s.built = topology::build_paper_fat_tree(s.fabric, which);
+    s.finish(scheme, s.built.host_slots.size() - 1, vfs, engine);
+    return s;
+  }
+
   core::VmHandle create_on(std::size_t hyp) {
     return vsf->create_vm(hyp).vm;
   }

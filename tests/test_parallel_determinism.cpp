@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "fabric/credit_sim.hpp"
 #include "fabric/trace.hpp"
 #include "inject/chaos.hpp"
 #include "inject/checker.hpp"
 #include "perf/int_collector.hpp"
+#include "routing/graph.hpp"
 #include "tests/helpers.hpp"
 #include "util/thread_pool.hpp"
 
@@ -99,36 +101,137 @@ TEST(ParallelDeterminism, DfssspTablesAndVlsMatchSingleThreaded) {
   EXPECT_EQ(results[0].num_vls, results[1].num_vls);
 }
 
-TEST(ParallelDeterminism, FatTreeTablesMatchSingleThreaded) {
-  // A 3-level tree with every VF LID prepopulated, wide enough (468
-  // switches, ~7k LIDs) that both fat-tree phases fan out at 4 and 8
-  // threads instead of taking their small-fabric serial path.
+/// The 36-pod 3-level tree (468 switches, 1296 hypervisors with 4 VFs
+/// each), wide enough that the hop matrix, Min-Hop, Up*/Down* and both
+/// fat-tree phases work above ThreadPool::kParallelMinWork and fan out at 4
+/// and 8 threads instead of running inline as one shard.
+struct WideTree {
   Fabric fabric;
-  const auto built = topology::build_three_level_fat_tree(
-      fabric, topology::ThreeLevelParams{.num_pods = 36,
-                                         .leaves_per_pod = 6,
-                                         .spines_per_pod = 6,
-                                         .num_cores = 36,
-                                         .hosts_per_leaf = 6,
-                                         .radix = 36});
-  const auto hyps = core::attach_hypervisors(fabric, built.host_slots, 4);
   LidMap lids;
-  for (const NodeId sw : fabric.switch_ids()) lids.assign_next(fabric, sw, 0);
-  for (const auto& hyp : hyps) lids.assign_next(fabric, hyp.pf, 1);
-  for (const auto& hyp : hyps) {
-    for (const NodeId vf : hyp.vfs) lids.assign_next(fabric, vf, 1);
-  }
+  std::size_t num_switches = 0;
 
+  /// Assigns switch and PF LIDs, then every VF LID when `vf_lids`.
+  explicit WideTree(bool vf_lids) {
+    const auto built = topology::build_three_level_fat_tree(
+        fabric, topology::ThreeLevelParams{.num_pods = 36,
+                                           .leaves_per_pod = 6,
+                                           .spines_per_pod = 6,
+                                           .num_cores = 36,
+                                           .hosts_per_leaf = 6,
+                                           .radix = 36});
+    num_switches = built.num_switches();
+    const auto hyps = core::attach_hypervisors(fabric, built.host_slots, 4);
+    for (const NodeId sw : fabric.switch_ids()) lids.assign_next(fabric, sw, 0);
+    for (const auto& hyp : hyps) lids.assign_next(fabric, hyp.pf, 1);
+    if (!vf_lids) return;
+    for (const auto& hyp : hyps) {
+      for (const NodeId vf : hyp.vfs) lids.assign_next(fabric, vf, 1);
+    }
+  }
+};
+
+TEST(ParallelDeterminism, FatTreeTablesMatchSingleThreaded) {
+  // Every VF LID prepopulated (~7k LIDs), so both fat-tree phases fan out.
+  const WideTree tree(/*vf_lids=*/true);
   std::vector<std::vector<Lft>> lfts;
   for (const std::size_t threads : kThreadSweep) {
     ThreadGuard guard(threads);
     lfts.push_back(routing::make_engine(routing::EngineKind::kFatTree)
-                       ->compute(fabric, lids)
+                       ->compute(tree.fabric, tree.lids)
                        .lfts);
   }
-  ASSERT_EQ(lfts[0].size(), built.num_switches());
+  ASSERT_EQ(lfts[0].size(), tree.num_switches);
   for (std::size_t run = 1; run < lfts.size(); ++run) {
     EXPECT_EQ(lfts[0], lfts[run]) << kThreadSweep[run] << " threads";
+  }
+}
+
+TEST(ParallelDeterminism, WideTreeMinHopUpDownAndHopsMatchSingleThreaded) {
+  // Switch and PF LIDs only (1764 targets) keeps the run short; the hop
+  // matrix (switches x edges), the Min-Hop pass and Up*/Down* phase 1
+  // (targets x edges) and Up*/Down* phase 2 (switches x targets) all stay
+  // above the cutoff.
+  const WideTree tree(/*vf_lids=*/false);
+  const routing::EngineKind kinds[] = {routing::EngineKind::kMinHop,
+                                       routing::EngineKind::kUpDown};
+  for (const routing::EngineKind kind : kinds) {
+    std::vector<routing::RoutingResult> results;
+    std::vector<std::vector<std::uint8_t>> hops;
+    for (const std::size_t threads : kThreadSweep) {
+      ThreadGuard guard(threads);
+      results.push_back(
+          routing::make_engine(kind)->compute(tree.fabric, tree.lids));
+      hops.push_back(routing::switch_hop_matrix(results.back().graph));
+    }
+    ASSERT_EQ(results[0].lfts.size(), tree.num_switches);
+    ASSERT_GT(results[0].graph.num_switches() *
+                  results[0].graph.num_edges(),
+              ThreadPool::kParallelMinWork);
+    for (std::size_t run = 1; run < results.size(); ++run) {
+      EXPECT_EQ(results[0].lfts, results[run].lfts)
+          << routing::to_string(kind) << ", " << kThreadSweep[run]
+          << " threads";
+      EXPECT_EQ(results[0].dest_vl, results[run].dest_vl);
+      EXPECT_EQ(hops[0], hops[run]) << kThreadSweep[run] << " threads";
+    }
+  }
+}
+
+TEST(ParallelDeterminism, PaperTreeSweepAndReconvergeStreamsMatch) {
+  // The 5832-node tree: its LFT diff (972 switches x ~850 LFT words) fans
+  // out, so the per-switch send lists are built on several threads and the
+  // serial send loop must still emit one SMP stream, order included.
+  std::vector<std::vector<Smp>> sweeps;
+  std::vector<std::vector<Smp>> reconverges;
+  for (const std::size_t threads : kThreadSweep) {
+    ThreadGuard guard(threads);
+    auto s = PhysicalSubnet::paper_tree(topology::PaperFatTree::k5832,
+                                        routing::EngineKind::kFatTree);
+    sweeps.push_back(sweep_stream(s));
+    const NodeId spine = s.built.spines.front();
+    s.fabric.disconnect(spine, 1);
+    s.sm->transport().invalidate_topology();
+    reconverges.emplace_back();
+    s.sm->transport().set_smp_tap(&reconverges.back());
+    EXPECT_TRUE(s.sm->reconverge().converged);
+    s.sm->transport().set_smp_tap(nullptr);
+  }
+  ASSERT_FALSE(sweeps[0].empty());
+  ASSERT_FALSE(reconverges[0].empty());
+  for (std::size_t run = 1; run < sweeps.size(); ++run) {
+    EXPECT_EQ(sweeps[0], sweeps[run]) << kThreadSweep[run] << " threads";
+    EXPECT_EQ(reconverges[0], reconverges[run])
+        << kThreadSweep[run] << " threads";
+  }
+}
+
+TEST(ParallelDeterminism, DfssspOnIrregularMatchesSingleThreaded) {
+  // A random 64-switch graph with 200 chords and 4 hosts per switch: 320
+  // targets, so the first 256-destination wave (256 x 526 edges) fans
+  // out. Unlike a fat-tree, its minimal routes close channel-dependency
+  // cycles, so the waves' dependency lists decide the VL layering.
+  std::vector<routing::RoutingResult> results;
+  for (const std::size_t threads : kThreadSweep) {
+    ThreadGuard guard(threads);
+    Fabric fabric;
+    const auto built = topology::build_irregular(
+        fabric, topology::IrregularParams{.num_switches = 64,
+                                          .hosts_per_switch = 4,
+                                          .extra_links = 200});
+    const auto hosts = topology::attach_hosts(fabric, built.host_slots);
+    sm::SubnetManager sm(fabric, hosts[0],
+                         routing::make_engine(routing::EngineKind::kDfsssp));
+    sm.discover();
+    sm.assign_lids();
+    results.push_back(sm.engine().compute(fabric, sm.lids()));
+  }
+  ASSERT_GT(256 * results[0].graph.num_edges(), ThreadPool::kParallelMinWork);
+  EXPECT_GT(results[0].num_vls, 1u);
+  for (std::size_t run = 1; run < results.size(); ++run) {
+    EXPECT_EQ(results[0].lfts, results[run].lfts)
+        << kThreadSweep[run] << " threads";
+    EXPECT_EQ(results[0].dest_vl, results[run].dest_vl);
+    EXPECT_EQ(results[0].num_vls, results[run].num_vls);
   }
 }
 
@@ -303,11 +406,12 @@ PortNum port_towards(const Fabric& fabric, NodeId node, NodeId peer) {
 
 /// Compares the checker (at every pool size) against the serial oracle at
 /// a generous cap and at a truncating one.
-void expect_matches_serial(const sm::SubnetManager& sm) {
-  const inject::CheckerConfig configs[] = {
-      {.max_violations = 500, .max_sources = 5},
-      {.max_violations = 3, .max_sources = 5},
-  };
+void expect_matches_serial(
+    const sm::SubnetManager& sm,
+    std::initializer_list<inject::CheckerConfig> configs = {
+        {.max_violations = 500, .max_sources = 5},
+        {.max_violations = 3, .max_sources = 5},
+    }) {
   for (const auto& config : configs) {
     const SerialExpectation expected = serial_reference(sm, config);
     for (const std::size_t threads : kThreadSweep) {
@@ -383,6 +487,34 @@ TEST(ParallelDeterminism, CheckerMatchesSerialTraceOnBrokenVirtualFabric) {
   s.fabric.node(spine1).lft.clear();
 
   expect_matches_serial(*s.sm);
+}
+
+TEST(ParallelDeterminism, CheckerMatchesSerialTraceOnBrokenVirtualPaperTree) {
+  // The 648-node tree with 4 VF LIDs per host: 5 sources x ~3.9k nodes x
+  // 52 target words is above the cutoff, so the targets split into one
+  // block per thread and the merge rebuilds the serial report from
+  // several blocks. A wiped spine breaks every LID routed through it,
+  // spread over the whole target range, so the cap lands in a later block.
+  auto s = VirtualSubnet::paper_tree(topology::PaperFatTree::k648,
+                                     core::LidScheme::kPrepopulated);
+  s.vsf->boot();
+  s.fabric.node(s.built.spines[3]).lft.clear();
+
+  const inject::CheckerConfig uncapped{.max_violations = 100000,
+                                       .max_sources = 5};
+  const inject::CheckerConfig capped{.max_violations = 100,
+                                     .max_sources = 5};
+  const SerialExpectation full = serial_reference(*s.sm, uncapped);
+  const SerialExpectation cut = serial_reference(*s.sm, capped);
+  ASSERT_FALSE(full.truncated);
+  ASSERT_GT(full.violations.size(), capped.max_violations);
+  ASSERT_TRUE(cut.truncated);
+  // The serial scan stops inside source 0, past the first of 4 blocks.
+  const std::size_t targets = full.paths_traced / full.sources_sampled;
+  ASSERT_GT(cut.paths_traced, targets / 4);
+  ASSERT_LT(cut.paths_traced, targets);
+
+  expect_matches_serial(*s.sm, {uncapped, capped});
 }
 
 // Regression: distribute_lfts() used to push blocks at switches the SM has

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "util/expect.hpp"
@@ -75,46 +77,151 @@ TEST(SplitMix64, ForkIsIndependentStream) {
   EXPECT_LT(same, 2);
 }
 
+/// A work estimate that always fans out.
+constexpr std::size_t kBigWork = ThreadPool::kParallelMinWork;
+
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_shards(hits.size(), kBigWork,
+                           [&](std::size_t, std::size_t b, std::size_t e) {
+                             for (std::size_t i = b; i < e; ++i) {
+                               hits[i].fetch_add(1);
+                             }
+                           });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
+  pool.parallel_for_shards(0, kBigWork,
+                           [&](std::size_t, std::size_t, std::size_t) {
+                             ran = true;
+                           });
   EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPool, ChunksPartitionRange) {
   ThreadPool pool(3);
   std::mutex m;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_for_chunks(0, 103, [&](std::size_t b, std::size_t e) {
-    std::lock_guard<std::mutex> lock(m);
-    chunks.emplace_back(b, e);
-  });
-  std::sort(chunks.begin(), chunks.end());
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shards;
+  pool.parallel_for_shards(
+      103, kBigWork, [&](std::size_t shard, std::size_t b, std::size_t e) {
+        std::lock_guard<std::mutex> lock(m);
+        shards.emplace_back(b, e, shard);
+      });
+  ASSERT_EQ(shards.size(), pool.shard_count(103));
+  std::sort(shards.begin(), shards.end());
   std::size_t expect_begin = 0;
-  for (const auto& [b, e] : chunks) {
+  std::set<std::size_t> indices;
+  for (const auto& [b, e, shard] : shards) {
     EXPECT_EQ(b, expect_begin);
     EXPECT_GT(e, b);
+    EXPECT_LE(e - b, 103u / shards.size() + 1);  // balanced
+    indices.insert(shard);
     expect_begin = e;
   }
   EXPECT_EQ(expect_begin, 103u);
+  EXPECT_EQ(indices.size(), shards.size());  // dense, distinct indices
+  EXPECT_EQ(*indices.rbegin(), shards.size() - 1);
 }
 
 TEST(ThreadPool, ExceptionPropagates) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(0, 100,
-                                 [&](std::size_t i) {
-                                   if (i == 37) throw std::runtime_error("x");
-                                 }),
-               std::runtime_error);
+  EXPECT_THROW(
+      pool.parallel_for_shards(100, kBigWork,
+                               [&](std::size_t, std::size_t b, std::size_t e) {
+                                 if (b <= 37 && 37 < e) {
+                                   throw std::runtime_error("x");
+                                 }
+                               }),
+      std::runtime_error);
+}
+
+TEST(ThreadPool, SmallWorkRunsInlineOnCaller) {
+  ThreadPool pool(4);
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> calls;
+  std::thread::id ran_on;
+  pool.parallel_for_shards(
+      100, ThreadPool::kParallelMinWork - 1,
+      [&](std::size_t shard, std::size_t b, std::size_t e) {
+        calls.emplace_back(shard, b, e);
+        ran_on = std::this_thread::get_id();
+      });
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0],
+            std::make_tuple(std::size_t{0}, std::size_t{0}, std::size_t{100}));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, SizeOnePoolRunsInline) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.shard_count(100), 1u);
+  std::size_t calls = 0;
+  std::thread::id ran_on;
+  pool.parallel_for_shards(100, kBigWork,
+                           [&](std::size_t shard, std::size_t b,
+                               std::size_t e) {
+                             EXPECT_EQ(shard, 0u);
+                             EXPECT_EQ(b, 0u);
+                             EXPECT_EQ(e, 100u);
+                             ran_on = std::this_thread::get_id();
+                             ++calls;
+                           });
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, CallerShardRunsAndItsExceptionPropagates) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  // Every shard waits until all of them started, so the caller is sure to
+  // claim one: a pool of 4 runs 4 shards on 3 workers plus the caller.
+  std::atomic<std::size_t> started{0};
+  std::atomic<bool> caller_ran{false};
+  EXPECT_THROW(
+      pool.parallel_for_shards(4, kBigWork,
+                               [&](std::size_t, std::size_t, std::size_t) {
+                                 started.fetch_add(1);
+                                 while (started.load() < 4) {
+                                   std::this_thread::yield();
+                                 }
+                                 if (std::this_thread::get_id() == caller) {
+                                   caller_ran = true;
+                                   throw std::runtime_error("caller shard");
+                                 }
+                               }),
+      std::runtime_error);
+  EXPECT_TRUE(caller_ran.load());
+  // The pool is reusable after the failed fan-out.
+  std::atomic<std::size_t> covered{0};
+  pool.parallel_for_shards(1000, kBigWork,
+                           [&](std::size_t, std::size_t b, std::size_t e) {
+                             covered.fetch_add(e - b);
+                           });
+  EXPECT_EQ(covered.load(), 1000u);
+}
+
+TEST(ThreadPool, NestedFanOutRunsInline) {
+  ThreadPool pool(4);
+  std::atomic<std::size_t> inner_calls{0};
+  std::atomic<std::size_t> covered{0};
+  pool.parallel_for_shards(
+      8, kBigWork, [&](std::size_t, std::size_t b, std::size_t e) {
+        const std::thread::id outer = std::this_thread::get_id();
+        pool.parallel_for_shards(
+            (e - b) * 10, kBigWork,
+            [&](std::size_t shard, std::size_t ib, std::size_t ie) {
+              EXPECT_EQ(shard, 0u);
+              EXPECT_EQ(std::this_thread::get_id(), outer);
+              inner_calls.fetch_add(1);
+              covered.fetch_add(ie - ib);
+            });
+      });
+  EXPECT_EQ(inner_calls.load(), pool.shard_count(8));
+  EXPECT_EQ(covered.load(), 80u);
 }
 
 TEST(ThreadPool, GlobalPoolIsReused) {
@@ -149,8 +256,10 @@ TEST(ThreadPool, SetGlobalThreadsResizes) {
   EXPECT_EQ(ThreadPool::global().size(), 3u);
   // The resized pool still does work.
   std::atomic<int> sum{0};
-  ThreadPool::global().parallel_for(0, 100,
-                                    [&](std::size_t i) { sum += int(i); });
+  ThreadPool::global().parallel_for_shards(
+      100, kBigWork, [&](std::size_t, std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) sum += int(i);
+      });
   EXPECT_EQ(sum.load(), 4950);
   // 0 restores the default sizing chain.
   ThreadPool::set_global_threads(0);
